@@ -289,11 +289,12 @@ func BenchmarkSchedulerDecisionLatency(b *testing.B) {
 }
 
 // BenchmarkShardedVsCentral is the scalability acceptance benchmark: the
-// same low-contention multi-user workload through the centralized
-// single-goroutine scheduler versus the sharded concurrent engine at 1, 4
-// and 16 shards. Sharded throughput should sit strictly above the central
-// baseline (and rise with shard count) because users only contend on the
-// dispatch loops and lock-table shards their steps touch.
+// same low-contention multi-user workload through the paper's single
+// central scheduler — strict 2PL behind one lock (Mutexed) on one dispatch
+// loop — versus the sharded concurrent engine at 1, 4 and 16 shards.
+// Sharded throughput should sit strictly above the mutexed baseline (and
+// rise with shard count) because users only contend on the dispatch loops
+// and lock-table shards their steps touch.
 func BenchmarkShardedVsCentral(b *testing.B) {
 	const jobs = 64
 	template := workload.Random(workload.RandomConfig{
@@ -311,8 +312,8 @@ func BenchmarkShardedVsCentral(b *testing.B) {
 			}
 		}
 	}
-	b.Run("central", func(b *testing.B) {
-		run(b, func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) })
+	b.Run("mutexed", func(b *testing.B) {
+		run(b, func() online.Scheduler { return online.NewMutexed(online.NewStrict2PL(lockmgr.WoundWait)) })
 	})
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("sharded-%d", shards), func(b *testing.B) {
@@ -397,8 +398,8 @@ func BenchmarkBackendShardedVsCentral(b *testing.B) {
 			}
 		}
 	}
-	b.Run("central", func(b *testing.B) {
-		run(b, 1, func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) })
+	b.Run("mutexed", func(b *testing.B) {
+		run(b, 1, func() online.Scheduler { return online.NewMutexed(online.NewStrict2PL(lockmgr.WoundWait)) })
 	})
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("sharded-%d", shards), func(b *testing.B) {

@@ -18,12 +18,14 @@
 //	ccsim -workload banking -sched 2pl-woundwait -backend disk -dir /tmp/ccwal -fsync always
 //	ccsim -workload disjoint -sched 2pl-woundwait -shards 4 -backend disk -checkpoint 262144
 //
-// -shards 0 (default) runs the classic centralized scheduler goroutine;
-// -shards N >= 1 runs the concurrent engine: per-shard dispatch loops over
-// hash-partitioned scheduler state. -sched cto / cto-thomas select the
-// natively concurrent timestamp-ordering scheduler (lock-free sharded
-// atomic timestamp table, no shard mutexes, no ordering rail); it always
-// runs on the dispatch loops. -sched mv selects the multiversion/optimistic
+// Every run uses the dispatch runtime. -shards 0 (default) keeps the
+// paper's single scheduler: the plain single-threaded scheduler behind one
+// lock (online.Mutexed) on one dispatch loop; -shards N >= 1 runs the
+// concurrent engine: per-shard dispatch loops over hash-partitioned
+// scheduler state. -sched cto / cto-thomas select the natively concurrent
+// timestamp-ordering scheduler (lock-free sharded atomic timestamp table,
+// no shard mutexes, no ordering rail); it always runs on the dispatch
+// loops. -sched mv selects the multiversion/optimistic
 // scheduler (write claims with first-writer-wins over the same timestamp
 // table); with the kv backend's version chains, read-only transactions are
 // served from pinned lock-free storage snapshots and never enter the grant
@@ -43,11 +45,11 @@
 //
 // -batch N > 1 turns on batched dispatch: each loop drains up to N queued
 // requests (the bound adapts between 1 and N by observed backlog — AIMD —
-// so N is a cap) and decides them in one scheduler critical section. On
-// the concurrent engine commits always flow through the storage
-// group-commit pipeline (undo logs discarded and locks released per
-// group, asynchronously to the committing users); with -batch 1 (default,
-// the unbatched runtime) the groups are mostly singletons.
+// so N is a cap) and decides them in one scheduler critical section.
+// Commits always flow through the storage group-commit pipeline (undo logs
+// discarded and locks released per group, asynchronously to the committing
+// users); with -batch 1 (default, the unbatched runtime) the groups are
+// mostly singletons.
 //
 // -backend kv executes every granted step against the sharded in-memory
 // storage backend (payload size -valuesize) instead of only sleeping -exec:
@@ -124,14 +126,15 @@ func schedulerFactory(name string) (factory func() online.Scheduler, policy lock
 	}
 }
 
-// schedulerByName builds the scheduler. shards == 0 keeps the classic
-// single-threaded scheduler behind the centralized scheduler goroutine;
-// shards >= 1 selects the concurrent engine with per-shard dispatch loops —
-// natively sharded strict 2PL for the 2PL family, native timestamp
-// ordering for cto/cto-thomas, the native serialization graph for
-// csgt/csgt-delay, native optimistic validation for cocc, and the Sharded
-// combinator (with the striped cross-shard ordering rail, railStripes
-// wide; 0 = as wide as the shard count) for everything else. The natively
+// schedulerByName builds the scheduler. shards == 0 returns the plain
+// single-threaded scheduler, which sim.Run wraps in online.Mutexed (one
+// lock, one dispatch loop); shards >= 1 selects the concurrent engine with
+// per-shard dispatch loops — natively sharded strict 2PL for the 2PL
+// family, native timestamp ordering for cto/cto-thomas, the native
+// serialization graph for csgt/csgt-delay, native optimistic validation
+// for cocc, and the Sharded combinator (with the striped cross-shard
+// ordering rail, railStripes wide; 0 = as wide as the shard count) for
+// everything else. The natively
 // concurrent schedulers (cto, mv, csgt, cocc) always run on the dispatch
 // loops, so -shards 0 behaves as one shard.
 func schedulerByName(name string, shards, railStripes int) (online.Scheduler, bool) {
@@ -210,9 +213,9 @@ func main() {
 		sc        = flag.String("sched", "2pl-woundwait", "serial|2pl|2pl-nowait|2pl-waitdie|2pl-woundwait|2pl-conservative|sgt|to|to-thomas|cto|cto-thomas|csgt|csgt-delay|cocc|mv|occ|treelock")
 		jobs      = flag.Int("jobs", 32, "transaction instances to run")
 		users     = flag.Int("users", 8, "concurrent user goroutines")
-		shards    = flag.Int("shards", 0, "shard count for the concurrent engine (0 = centralized scheduler goroutine)")
+		shards    = flag.Int("shards", 0, "shard count for the concurrent engine (0 = one scheduler behind one lock)")
 		stripes   = flag.Int("railstripes", 0, "lock stripes of the cross-shard ordering rail (0 = one per shard)")
-		batchSz   = flag.Int("batch", 1, "max requests decided per dispatch critical section; > 1 also enables group commit on the concurrent engine")
+		batchSz   = flag.Int("batch", 1, "max requests decided per dispatch critical section (an adaptive cap)")
 		backend   = flag.String("backend", "none", "storage backend executing granted steps (none|kv|noop|disk)")
 		valueSize = flag.Int("valuesize", 256, "payload bytes per stored record (kv backend)")
 		dir       = flag.String("dir", "", "WAL directory for the disk backend (empty = fresh temp dir, removed after the run)")

@@ -22,8 +22,9 @@
 //	                     KV store (copy-on-write records, checksummed payloads,
 //	                     per-transaction undo logs for abort rollback)
 //	internal/sim         goroutine-per-user simulator of the Section 6 environment:
-//	                     centralized scheduler goroutine or per-shard dispatch loops,
-//	                     executing granted steps against the storage backend
+//	                     per-shard dispatch loops for every scheduler (plain ones
+//	                     behind one lock, as Mutexed), executing granted steps
+//	                     against the storage backend
 //	internal/workload    canonical systems (banking, Figure 1, …), generators and
 //	                     payload sizers
 //	internal/experiments every experiment of DESIGN.md / EXPERIMENTS.md

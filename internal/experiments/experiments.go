@@ -724,9 +724,10 @@ var E8Config = struct {
 }{Jobs: 32, Users: []int{4, 8}, Shards: []int{1, 4, 16}}
 
 // E8ShardScalability measures the sharded scheduling runtime: throughput of
-// centralized strict 2PL (single scheduler goroutine) against the sharded
-// engine (per-shard dispatch loops over the partitioned lock table) across
-// shard count × user count × contention regime.
+// the Mutexed strict 2PL baseline (one dispatch loop, every decision behind
+// one lock) against the sharded engine (per-shard dispatch loops over the
+// partitioned lock table) across shard count × user count × contention
+// regime.
 func E8ShardScalability() (*Result, error) {
 	return e8WithScale(E8Config.Jobs, E8Config.Users, E8Config.Shards)
 }
@@ -738,8 +739,8 @@ func e8WithScale(jobs int, userSweep, shardSweep []int) (*Result, error) {
 	res := &Result{
 		ID:    "E8",
 		Title: "Sharded scheduling runtime — throughput vs shard count × users × contention",
-		Text: "central = single scheduler goroutine (Section 6 funnel); " +
-			"sharded(n) = per-shard dispatch loops over an n-shard lock table.",
+		Text: "mutexed = one dispatch loop, every decision behind one lock (Section 6 funnel); " +
+			"2pl-sharded(n) = per-shard dispatch loops over an n-shard lock table.",
 	}
 	regimes := []struct {
 		name     string
@@ -754,7 +755,7 @@ func e8WithScale(jobs int, userSweep, shardSweep []int) (*Result, error) {
 		for _, users := range userSweep {
 			t := report.NewTable(fmt.Sprintf("%s, %d jobs, %d users", reg.name, jobs, users),
 				"scheduler", "committed", "aborts", "deadlock-breaks", "mean-wait-µs", "throughput-tx/s")
-			scheds := []online.Scheduler{online.NewStrict2PL(lockmgr.WoundWait)}
+			scheds := []online.ConcurrentScheduler{online.NewMutexed(online.NewStrict2PL(lockmgr.WoundWait))}
 			for _, s := range shardSweep {
 				scheds = append(scheds, online.NewConcurrentStrict2PL(lockmgr.WoundWait, s))
 			}
@@ -767,11 +768,7 @@ func e8WithScale(jobs int, userSweep, shardSweep []int) (*Result, error) {
 				if m.Committed != jobs {
 					return nil, fmt.Errorf("E8: %s committed %d of %d", sched.Name(), m.Committed, jobs)
 				}
-				name := sched.Name()
-				if _, ok := sched.(online.ConcurrentScheduler); !ok {
-					name = "central/" + name
-				}
-				t.AddRow(name, m.Committed, m.Aborts, m.DeadlockBreaks,
+				t.AddRow(sched.Name(), m.Committed, m.Aborts, m.DeadlockBreaks,
 					m.WaitNs.Mean()/1e3, m.Throughput)
 			}
 			res.Tables = append(res.Tables, t)
@@ -840,16 +837,12 @@ func e9WithScale(jobs, users int, shardSweep, valueSizes []int, backendName stri
 		for _, valueSize := range valueSizes {
 			t := report.NewTable(fmt.Sprintf("%s, %dB values, %d jobs, %d users", reg.name, valueSize, jobs, users),
 				"scheduler", "committed", "aborts", "rollbacks", "mean-exec-µs", "mean-wait-µs", "MB-written", "throughput-tx/s")
-			scheds := []online.Scheduler{online.NewStrict2PL(lockmgr.WoundWait)}
+			scheds := []online.ConcurrentScheduler{online.NewMutexed(online.NewStrict2PL(lockmgr.WoundWait))}
 			for _, s := range shardSweep {
 				scheds = append(scheds, online.NewConcurrentStrict2PL(lockmgr.WoundWait, s))
 			}
 			for _, sched := range scheds {
-				shards := 1
-				if cs, ok := sched.(online.ConcurrentScheduler); ok {
-					shards = cs.NumShards()
-				}
-				be, err := NewStrictBackend(backendName, shards, valueSize)
+				be, err := NewStrictBackend(backendName, sched.NumShards(), valueSize)
 				if err != nil {
 					return nil, err
 				}
@@ -868,10 +861,6 @@ func e9WithScale(jobs, users int, shardSweep, valueSizes []int, backendName stri
 				if !be.State().Equal(replay) {
 					return nil, fmt.Errorf("E9: %s backend state diverged from committed replay", sched.Name())
 				}
-				name := sched.Name()
-				if _, ok := sched.(online.ConcurrentScheduler); !ok {
-					name = "central/" + name
-				}
 				var rollbacks int64
 				var mbWritten float64
 				if kv, ok := be.(*storage.KV); ok {
@@ -879,7 +868,7 @@ func e9WithScale(jobs, users int, shardSweep, valueSizes []int, backendName stri
 					rollbacks = st.Rollbacks
 					mbWritten = float64(st.BytesWritten) / (1 << 20)
 				}
-				t.AddRow(name, m.Committed, m.Aborts, rollbacks,
+				t.AddRow(sched.Name(), m.Committed, m.Aborts, rollbacks,
 					m.ExecNs.Mean()/1e3, m.WaitNs.Mean()/1e3, mbWritten, m.Throughput)
 			}
 			res.Tables = append(res.Tables, t)

@@ -53,7 +53,7 @@ func TestE8Quick(t *testing.T) {
 	if len(r.Tables) != 2 {
 		t.Errorf("E8 quick tables = %d", len(r.Tables))
 	}
-	// Each table compares the central baseline with every sharded config.
+	// Each table compares the Mutexed baseline with every sharded config.
 	for _, tbl := range r.Tables {
 		if got := strings.Count(tbl.String(), "2pl"); got < 3 {
 			t.Errorf("E8 table missing rows:\n%s", tbl.String())
@@ -69,7 +69,7 @@ func TestE9Quick(t *testing.T) {
 	if len(r.Tables) != 2 {
 		t.Errorf("E9 quick tables = %d", len(r.Tables))
 	}
-	// Each table carries the central baseline plus the sharded configs; the
+	// Each table carries the Mutexed baseline plus the sharded configs; the
 	// runner itself asserts the committed-state-equals-replay invariant.
 	for _, tbl := range r.Tables {
 		if got := strings.Count(tbl.String(), "2pl"); got < 2 {

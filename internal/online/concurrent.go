@@ -44,6 +44,8 @@ func shardOfVar(v core.Var, n int) int { return lockmgr.ShardOfVar(v, n) }
 // Mutexed wraps a single-threaded Scheduler behind one mutex: the
 // centralized baseline of the ConcurrentScheduler contract (one shard, all
 // requests serialized). It realizes exactly the inner scheduler's fixpoint.
+// sim.Run wraps every plain Scheduler in it, so this is also how the
+// paper's single Section 6 scheduler runs.
 type Mutexed struct {
 	mu     sync.Mutex
 	inner  Scheduler

@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"optcc/internal/conflict"
@@ -16,6 +17,12 @@ const (
 	occValidating = 2 // inside the validating grant of its last step
 	occCommitted  = 3 // validated and committed
 )
+
+// occFinalWrite stamps the final write's mark, published before
+// validation. The write executes only after the commit point, so no read
+// can have observed it: the mark never counts as a dirty-read source, only
+// for the validating tie-break until the commit stamps cover it.
+const occFinalWrite = math.MaxInt64
 
 // coccAccess is one variable of a transaction's footprint: the stamp of
 // the incarnation's LAST read and FIRST write of it (0 = never; real
@@ -54,18 +61,6 @@ func (st *coccTx) access(v core.Var) *coccAccess {
 	//cclint:ignore hotpath append within the slab capacity carved at Begin; never grows
 	st.acc = append(st.acc, coccAccess{v: v})
 	return &st.acc[len(st.acc)-1]
-}
-
-// lookup returns the footprint entry of v, or nil.
-//
-//optcc:hotpath
-func (st *coccTx) lookup(v core.Var) *coccAccess {
-	for i := range st.acc {
-		if st.acc[i].v == v {
-			return &st.acc[i]
-		}
-	}
-	return nil
 }
 
 // ConcurrentOCC is natively concurrent optimistic concurrency control:
@@ -253,20 +248,28 @@ func (s *ConcurrentOCC) Try(id core.StepID) Decision {
 		s.mark(st, step, s.clock.Add(1), tx, epoch)
 		return Grant
 	}
-	// Validation epoch: unique and monotone with entry order, published
-	// before the validating phase so later validators always see us.
+	// Enter validation in publication order: the final write's mark, then
+	// the validating phase, then the validation epoch — unique and monotone
+	// with entry order. A peer that draws a later epoch therefore finds
+	// this write and sees us validating; it yields, since our published
+	// epoch is either the one drawn here or an older incarnation's, both
+	// smaller than its own. The mark stays visible until the commit stamps
+	// cover the write.
+	if conflict.Writes(step.Kind) {
+		if a := st.access(step.Var); a.wstamp == 0 {
+			a.wstamp = occFinalWrite
+			s.publishWriter(s.wmarks.entry(step.Var), tx, epoch, occFinalWrite)
+		}
+	}
+	s.phase[tx].Store(epoch<<2 | occValidating)
 	vE := s.clock.Add(1)
 	s.vepoch[tx].Store(vE)
-	s.phase[tx].Store(epoch<<2 | occValidating)
 	if !s.validate(tx, st, step, vE) {
 		s.phase[tx].Store(epoch<<2 | occActive)
 		return AbortTx
 	}
 	// Commit point, atomic with the validating grant (see tsocc.go): the
-	// final step's marks first (a concurrent validator must see this write
-	// until the commit stamps cover it), then the commit stamps, then the
-	// committed phase.
-	s.mark(st, step, vE, tx, epoch)
+	// commit stamps, then the committed phase.
 	commitTS := s.clock.Add(1)
 	for i := range st.acc {
 		if st.acc[i].wstamp > 0 {
@@ -295,15 +298,12 @@ func (s *ConcurrentOCC) validate(tx int, st *coccTx, step core.Step, vE int64) b
 			return false
 		}
 	}
-	// Prospective final access at stamp vE. A final read always re-checks
-	// with rt = vE — even of a variable read before — because it is the
-	// incarnation's last read of it; a final write of an untouched
-	// variable gets the commit probe and the validating tie-break.
+	// Prospective final read at stamp vE: it always re-checks with rt =
+	// vE — even of a variable read before — because it is the
+	// incarnation's last read of it. A final write is already in the
+	// footprint, marked before the epoch draw.
 	if conflict.Reads(step.Kind) {
 		return s.checkVar(tx, step.Var, vE, true, vE, st.start)
-	}
-	if st.lookup(step.Var) == nil {
-		return s.checkVar(tx, step.Var, vE, false, vE, st.start)
 	}
 	return true
 }

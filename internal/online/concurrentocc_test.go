@@ -3,7 +3,9 @@ package online
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"optcc/internal/core"
@@ -121,4 +123,62 @@ func TestConcurrentOCCParallelDrive(t *testing.T) {
 		}(tx)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentOCCFinalWriteValidationRace races two validations that
+// must not both commit. A reads v, B then writes v, and the two final
+// steps — A's write of v, B's write of u — validate concurrently from two
+// goroutines (v and u sit on different shards, so the runtime would run
+// them on different dispatch loops too). Granting both commits the cycle
+// r_A(v) < w_B(v) < w_A(v). Whichever validation draws the later epoch
+// must see the other's final-write mark and validating phase and abort;
+// a mark published only after validation, or a phase published only
+// after the epoch draw, lets both through.
+func TestConcurrentOCCFinalWriteValidationRace(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two parallel Ps to race the validations")
+	}
+	sys := (&core.System{Name: "cocc-final-write", Txs: []core.Transaction{
+		{Steps: []core.Step{{Var: "v", Kind: core.Read}, {Var: "v", Kind: core.Write}}},
+		{Steps: []core.Step{{Var: "v", Kind: core.Write}, {Var: "u", Kind: core.Write}}},
+	}}).Normalize()
+	s := NewConcurrentOCC(2)
+	if s.ShardOf("v") == s.ShardOf("u") {
+		t.Fatal("v and u must sit on different shards")
+	}
+	const rounds = 200000
+	var (
+		ready, done atomic.Int64
+		b           Decision // B's decision, handed over by done
+		wg          sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() { // B's final step, released by the loop below each round
+		defer wg.Done()
+		for r := int64(1); r <= rounds; r++ {
+			for ready.Load() < r {
+				runtime.Gosched()
+			}
+			b = s.Try(core.StepID{Tx: 1, Idx: 1})
+			done.Store(r)
+		}
+	}()
+	both := 0
+	for r := int64(1); r <= rounds; r++ {
+		s.Begin(sys)
+		s.Try(core.StepID{Tx: 0, Idx: 0}) // r_A(v)
+		s.Try(core.StepID{Tx: 1, Idx: 0}) // w_B(v)
+		ready.Store(r)
+		a := s.Try(core.StepID{Tx: 0, Idx: 1}) // w_A(v), racing B's final step
+		for done.Load() < r {
+			runtime.Gosched()
+		}
+		if a == Grant && b == Grant {
+			both++
+		}
+	}
+	wg.Wait()
+	if both > 0 {
+		t.Fatalf("%d of %d rounds committed both sides of r_A(v) < w_B(v) < w_A(v)", both, rounds)
+	}
 }

@@ -90,8 +90,6 @@ func snapshotBench(b *testing.B) {
 //   - mutexed-noop: the acceptance target — the sharded dispatch runtime
 //     driving Mutexed strict 2PL with the no-op backend performs ZERO
 //     heap allocations per transaction in steady state.
-//   - central-noop: the centralized single-goroutine runtime on plain
-//     strict 2PL is equally allocation-free.
 //   - sharded-2pl-noop: natively sharded strict 2PL also measures 0 in
 //     steady state; the ceiling of 4 leaves headroom for collision-path
 //     bookkeeping (wound lists, breaker scans) on slower boxes.
@@ -117,9 +115,6 @@ var hotPathCases = []struct {
 }{
 	{"mutexed-noop", 0, hotPathBench(func() online.Scheduler {
 		return online.NewMutexed(online.NewStrict2PL(lockmgr.Detect))
-	}, noopBackend)},
-	{"central-noop", 0, hotPathBench(func() online.Scheduler {
-		return online.NewStrict2PL(lockmgr.Detect)
 	}, noopBackend)},
 	{"sharded-2pl-noop", 4, hotPathBench(func() online.Scheduler {
 		return online.NewConcurrentStrict2PL(lockmgr.Detect, 4)

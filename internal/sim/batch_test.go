@@ -71,9 +71,10 @@ func TestBatchedHotShard(t *testing.T) {
 	}
 }
 
-// TestBatchedCentralRuntime: the centralized scheduler goroutine coalesces
-// its intake too; results must be indistinguishable from unbatched runs.
-func TestBatchedCentralRuntime(t *testing.T) {
+// TestBatchedPlainScheduler: a plain scheduler, which Run wraps in Mutexed
+// on one dispatch loop, coalesces its intake too; results must be
+// indistinguishable from unbatched runs.
+func TestBatchedPlainScheduler(t *testing.T) {
 	inst := Instantiate(workload.Cross(), 10)
 	for _, batch := range []int{4, 32} {
 		m, err := Run(Config{System: inst, Sched: online.NewStrict2PL(lockmgr.WoundWait), Users: 5, Seed: 7, Batch: batch})

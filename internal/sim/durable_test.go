@@ -63,9 +63,9 @@ func checkDurableReplay(t *testing.T, name string, mk func() online.Scheduler, t
 }
 
 // TestDiskBackendReplayAndRecovery: strict schedulers on the eager disk
-// backend, across both runtimes, batching modes and all three fsync
-// policies — the committed replay must match the live state AND the
-// recovered state.
+// backend — plain (central, wrapped in Mutexed by Run) and sharded —
+// across batching modes and all three fsync policies: the committed
+// replay must match the live state AND the recovered state.
 func TestDiskBackendReplayAndRecovery(t *testing.T) {
 	scheds := []struct {
 		name string
@@ -141,29 +141,22 @@ func TestDiskRecoveryNsMetric(t *testing.T) {
 
 // TestDiskSyncFailureSurfacesAsRunError: a durable backend whose fsync
 // fails mid-run must fail the run — silent durability loss is the bug
-// class this PR exists to rule out. Covers the sharded runtime's OnFail
-// path (group commit) and the centralized runtime's per-commit GroupSync.
+// class the durability tests exist to rule out. Covers the group-commit
+// pipeline's OnFail path, which every durable commit takes.
 func TestDiskSyncFailureSurfacesAsRunError(t *testing.T) {
-	for _, rt := range []struct {
-		name string
-		mk   func() online.Scheduler
-	}{
-		{"central", func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) }},
-		{"sharded", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, 2) }},
-	} {
-		t.Run(rt.name, func(t *testing.T) {
-			efs := storage.NewErrFS(storage.OSFS{})
-			be, err := storage.NewDisk(storage.Config{Dir: t.TempDir(), FS: efs, Fsync: storage.FsyncGroup})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Fail an operation far enough in to land inside the run (the
-			// Reset consumes the first two).
-			efs.FailAt(10)
-			inst := Instantiate(workload.Banking(), 8)
-			if _, err := Run(Config{System: inst, Sched: rt.mk(), Backend: be, Users: 4, Seed: 3}); err == nil {
-				t.Fatal("run with injected fsync failure reported success")
-			}
-		})
-	}
+	t.Run("sharded", func(t *testing.T) {
+		efs := storage.NewErrFS(storage.OSFS{})
+		be, err := storage.NewDisk(storage.Config{Dir: t.TempDir(), FS: efs, Fsync: storage.FsyncGroup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fail an operation far enough in to land inside the run (the
+		// Reset consumes the first two).
+		efs.FailAt(10)
+		inst := Instantiate(workload.Banking(), 8)
+		sched := online.NewConcurrentStrict2PL(lockmgr.WoundWait, 2)
+		if _, err := Run(Config{System: inst, Sched: sched, Backend: be, Users: 4, Seed: 3}); err == nil {
+			t.Fatal("run with injected fsync failure reported success")
+		}
+	})
 }

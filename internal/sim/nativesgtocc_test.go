@@ -130,3 +130,49 @@ func TestConcurrentOCCContendedSerializable(t *testing.T) {
 		t.Fatal("non-serializable committed schedule under concurrent backward validation")
 	}
 }
+
+// TestConcurrentOCCSeedSweepSerializable widens the contended CSR check
+// from one configuration to a seed sweep: the hotspot system of
+// TestConcurrentOCCContendedSerializable under varying template and run
+// seeds, for native OCC and for the other natively concurrent certifiers
+// (SGT aborting and delaying, TO). Any committed schedule that is not
+// conflict-serializable fails the test. The race detector slows every run
+// several-fold, so race builds sweep fewer seeds.
+func TestConcurrentOCCSeedSweepSerializable(t *testing.T) {
+	const jobs = 24
+	seeds := int64(150)
+	if raceEnabled {
+		seeds = 20
+	}
+	for _, sc := range []struct {
+		name string
+		mk   func() online.Scheduler
+	}{
+		{"cocc", func() online.Scheduler { return online.NewConcurrentOCC(4) }},
+		{"csgt", func() online.Scheduler { return online.NewConcurrentSGTAborting(4) }},
+		{"csgt-delay", func() online.Scheduler { return online.NewConcurrentSGT(4) }},
+		{"cto", func() online.Scheduler { return online.NewConcurrentTO(4) }},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			for seed := int64(0); seed < seeds; seed++ {
+				template := workload.Random(workload.RandomConfig{
+					NumTxs: jobs, MinSteps: 3, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 7+seed%5)
+				inst := Instantiate(template, jobs)
+				m, err := Run(Config{System: inst, Sched: sc.mk(), Users: 8, Seed: seed, MaxRestarts: 10000})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if m.Committed != jobs {
+					t.Fatalf("seed %d: committed %d of %d", seed, m.Committed, jobs)
+				}
+				csr, _, err := conflict.Serializable(inst, m.Output)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if !csr {
+					t.Fatalf("seed %d: non-serializable committed schedule %v", seed, m.Output)
+				}
+			}
+		})
+	}
+}

@@ -146,8 +146,9 @@ func (b *failingBackend) Rollback(tx int) {
 
 // TestNoCommitAfterFailedApply injects an apply failure — once mid-
 // transaction and once on the final step, whose grant has already marked
-// the transaction committed — and requires, for the central and the sharded
-// runtime (batched and not): the run reports the error, the failed
+// the transaction committed — and requires, for a plain scheduler (central,
+// wrapped in Mutexed by Run) and a sharded one (batched and not): the run
+// reports the error, the failed
 // transaction is rolled back and never committed, and every other
 // transaction still commits exactly once.
 func TestNoCommitAfterFailedApply(t *testing.T) {

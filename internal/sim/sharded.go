@@ -1,8 +1,8 @@
-// Sharded dispatch: the concurrent runtime for online.ConcurrentScheduler.
-// Instead of funneling every step request through one scheduler goroutine,
-// each shard runs its own dispatch loop with its own request channel and
-// parked queue; a user's request goes to the loop of the shard owning the
-// step's variable, so users contend only on the shards their steps touch.
+// Sharded dispatch: the runtime behind Run, for every scheduler (a plain
+// one arrives wrapped in online.Mutexed, a single shard). Each shard runs
+// its own dispatch loop with its own request channel and parked queue; a
+// user's request goes to the loop of the shard owning the step's variable,
+// so users contend only on the shards their steps touch.
 // The Section 6 latency decomposition is unchanged: queueing + decision is
 // scheduling time, time parked is waiting time, step cost (real backend
 // work and/or the ExecTime knob) is execution time.
@@ -65,7 +65,7 @@ type shardState struct {
 	reqCh  chan request
 	kick   chan struct{}
 	mu     sync.Mutex
-	parked []parked
+	parked []request
 
 	verdicts []verdict
 	decided  []bool
@@ -363,7 +363,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 				}
 				if end-start == 1 {
 					p := ss.parked[start]
-					if decideOne(p.req, true) {
+					if decideOne(p, true) {
 						parkedCount.Add(-1)
 						progressed = true
 					} else {
@@ -372,9 +372,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 					continue
 				}
 				reqs := ss.reqs[:0]
-				for _, p := range ss.parked[start:end] {
-					reqs = append(reqs, p.req)
-				}
+				reqs = append(reqs, ss.parked[start:end]...)
 				ss.reqs = reqs
 				dec := decideBatch(ss, reqs, true)
 				for i, d := range dec {
@@ -416,9 +414,9 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		for _, ss := range shards {
 			ss.mu.Lock()
 			for _, p := range ss.parked {
-				if !stuckSet[p.req.tx] {
-					stuckSet[p.req.tx] = true
-					stuck = append(stuck, p.req.tx)
+				if !stuckSet[p.tx] {
+					stuckSet[p.tx] = true
+					stuck = append(stuck, p.tx)
 				}
 			}
 			ss.mu.Unlock()
@@ -443,8 +441,8 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		for _, ss := range shards {
 			ss.mu.Lock()
 			for i, p := range ss.parked {
-				if p.req.tx == victim {
-					reply = p.req.reply
+				if p.tx == victim {
+					reply = p.reply
 					ss.parked = append(ss.parked[:i], ss.parked[i+1:]...)
 					break
 				}
@@ -526,17 +524,16 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 					if len(intake) == 1 {
 						if !decideOne(intake[0], false) {
 							ss.mu.Lock()
-							ss.parked = append(ss.parked, parked{req: intake[0], since: time.Now()})
+							ss.parked = append(ss.parked, intake[0])
 							ss.mu.Unlock()
 							parkedNew++
 						}
 					} else {
 						dec := decideBatch(ss, intake, false)
-						now := time.Now()
 						ss.mu.Lock()
 						for i, d := range dec {
 							if !d {
-								ss.parked = append(ss.parked, parked{req: intake[i], since: now})
+								ss.parked = append(ss.parked, intake[i])
 								parkedNew++
 							}
 						}
@@ -647,7 +644,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 						sent := time.Now()
 						shard := cs.ShardOf(sys.Txs[tx].Steps[idx].Var)
 						select {
-						case shards[shard].reqCh <- request{tx: tx, idx: idx, arrived: sent, reply: reply}:
+						case shards[shard].reqCh <- request{tx: tx, idx: idx, reply: reply}:
 						case <-done:
 							return
 						}

@@ -4,6 +4,12 @@
 // occasionally touch shared data; a scheduler grants, delays or aborts each
 // arriving step request.
 //
+// There is one runtime: per-shard dispatch loops (sharded.go) decide every
+// step. A natively concurrent scheduler (online.ConcurrentScheduler) gets
+// one loop per shard; a plain online.Scheduler is wrapped in
+// online.Mutexed — one shard, one loop, every decision behind one lock —
+// which is Section 6's single scheduler.
+//
 // The simulator decomposes each step's latency exactly as Section 6 does:
 //
 //	scheduling time — queueing for the scheduler plus its decision,
@@ -13,12 +19,13 @@
 // Execution time is real work when Config.Backend is set: every granted
 // step is applied to the storage backend on the requesting user's goroutine
 // (read the record, evaluate the step's interpretation, write a
-// copy-on-write record), commits discard the transaction's undo log, and
-// aborts roll it back before the scheduler releases any locks. Without a
-// backend the step cost is simulated; either way Config.ExecTime adds an
-// optional extra per-step cost. Commit processing is off the scheduler's
-// grant critical path: the final step's grant replies immediately and the
-// user goroutine finishes execution before the commit releases locks.
+// copy-on-write record), commits discard the transaction's undo log through
+// the group-commit pipeline, and aborts roll it back before the scheduler
+// releases any locks. Without a backend the step cost is simulated; either
+// way Config.ExecTime adds an optional extra per-step cost. Commit
+// processing is off the scheduler's grant critical path: the final step's
+// grant replies immediately and the user goroutine finishes execution
+// before the commit releases locks.
 //
 // Any internal/online.Scheduler can be plugged in, so the experiments
 // compare the waiting time induced by schedulers with poorer or richer
@@ -41,7 +48,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -74,8 +80,8 @@ type Config struct {
 	// request per loop iteration, the unbatched runtime). The effective
 	// bound is adaptive: each loop grows it additively while its queue
 	// shows backlog and halves it toward 1 as the queue drains (AIMD), so
-	// a large Batch costs nothing on thin traffic. On the sharded engine
-	// every commit flows through the storage group-commit pipeline: a
+	// a large Batch costs nothing on thin traffic. In every configuration
+	// each commit flows through the storage group-commit pipeline: a
 	// finishing transaction enqueues its commit, and the lane's driver —
 	// the first committer to find the lane idle — discards undo logs and
 	// releases scheduler locks for the whole accumulated group in one
@@ -108,9 +114,9 @@ type Metrics struct {
 	DeadlockBreaks int
 	// CommitGroups and GroupCommits report the group-commit pipeline's
 	// coalescing: groups processed and transactions committed through
-	// them. The sharded engine commits through the pipeline in both modes
-	// (unbatched groups are mostly singletons); both are zero on the
-	// centralized runtime, which has no pipeline.
+	// them. Every run commits through the pipeline, batched or not
+	// (unbatched groups are mostly singletons); read-only transactions
+	// served by the snapshot fast path bypass it.
 	CommitGroups, GroupCommits int
 	// WaitNs records per-request waiting time (delay until grant/abort).
 	WaitNs report.Histogram
@@ -196,12 +202,11 @@ func Instantiate(template *core.System, jobs int) *core.System {
 	return inst.Normalize()
 }
 
-// request is one step arrival sent to the scheduler goroutine.
+// request is one step arrival sent to a dispatch loop.
 type request struct {
-	tx      int
-	idx     int
-	arrived time.Time
-	reply   chan verdict
+	tx    int
+	idx   int
+	reply chan verdict
 }
 
 type verdict struct {
@@ -215,27 +220,8 @@ type verdict struct {
 	decided     time.Time
 }
 
-// parked is a delayed request awaiting retry.
-type parked struct {
-	req   request
-	since time.Time
-}
-
-// failure reports a backend apply that failed on a user goroutine: the
-// transaction must be aborted through the scheduler (rollback before lock
-// release) and stopped. last marks a failure on the final step, whose grant
-// already recorded the transaction as committed — that record must be
-// undone before the abort. ack is the reporting user's reusable
-// acknowledgement channel (capacity 1): the scheduler sends on it when the
-// abort is processed.
-type failure struct {
-	tx   int
-	last bool
-	ack  chan struct{}
-}
-
 // runErrors collects the first asynchronous error of a run (backend apply
-// failures on user goroutines).
+// failures on user goroutines, failed group-commit syncs).
 type runErrors struct {
 	mu  sync.Mutex
 	err error
@@ -289,10 +275,10 @@ func applyStep(cfg *Config, tx, idx int, m *Metrics, metMu *sync.Mutex, errs *ru
 // interleaving varies; the metrics' invariants (all jobs commit, output
 // legal) hold on every run.
 //
-// A Sched implementing online.ConcurrentScheduler is driven by per-shard
-// dispatch loops (see runSharded): users contend only on the shards their
-// steps touch. A plain online.Scheduler runs behind the single centralized
-// scheduler goroutine of Section 6.
+// Every run goes through the dispatch runtime (see runSharded): users
+// contend only on the shards their steps touch. A plain online.Scheduler
+// is wrapped once in online.Mutexed — one shard, one dispatch loop, every
+// decision behind one lock — which is the single scheduler of Section 6.
 func Run(cfg Config) (*Metrics, error) {
 	sys := cfg.System
 	if sys == nil || sys.NumTxs() == 0 {
@@ -319,374 +305,11 @@ func Run(cfg Config) (*Metrics, error) {
 	if batch < 1 {
 		batch = 1
 	}
-	if cs, ok := cfg.Sched.(online.ConcurrentScheduler); ok {
-		return runSharded(cfg, cs, sys, users, maxRestarts, batch)
+	cs, ok := cfg.Sched.(online.ConcurrentScheduler)
+	if !ok {
+		cs = online.NewMutexed(cfg.Sched)
 	}
-
-	m := &Metrics{}
-	presizeMetrics(m, sys, cfg.Backend != nil)
-	var am report.AllocMeter
-	am.Start()
-	var mu sync.Mutex // guards metrics and sched state below
-	var errs runErrors
-
-	sched := cfg.Sched
-	sched.Begin(sys)
-
-	var (
-		waiting  []parked
-		inFlight = map[int]bool{} // started, not committed/aborted-pending
-		// committing holds transactions whose final step is granted but
-		// whose commit (lock release) has not been processed yet; the
-		// deadlock breaker must wait for them — their commit is guaranteed
-		// to arrive and may unblock everything.
-		committing = map[int]bool{}
-		wounded    = map[int]bool{}
-		attempts   = make([]int, sys.NumTxs())
-		committed  = make([]bool, sys.NumTxs())
-		// output is presized to the conflict-free request count; restarts
-		// overflow into amortized append growth (cold path).
-		output = make([]online.Event, 0, sys.StepCount())
-	)
-	for i := range attempts {
-		attempts[i] = 1
-	}
-
-	reqCh := make(chan request)
-	// commitCh carries finished transactions back to the scheduler
-	// goroutine: the user goroutine executes the final step (and the
-	// backend commit) first, then the scheduler releases locks. Buffered so
-	// committing users never block on the scheduler.
-	commitCh := make(chan int, sys.NumTxs())
-	// failCh carries failed backend applies: the transaction aborts through
-	// the scheduler (rollback before lock release) and must not commit.
-	failCh := make(chan failure)
-	done := make(chan struct{})
-
-	grantOne := func(r request, now time.Time) verdict {
-		output = append(output, online.Event{Step: core.StepID{Tx: r.tx, Idx: r.idx}, Attempt: attempts[r.tx]})
-		last := r.idx == len(sys.Txs[r.tx].Steps)-1
-		if last {
-			committed[r.tx] = true
-			committing[r.tx] = true
-			delete(inFlight, r.tx)
-		}
-		return verdict{decided: now, lastGranted: last}
-	}
-
-	abortOne := func(tx int) {
-		// Roll the backend back before the scheduler releases locks, so no
-		// concurrent transaction can read the dying writes.
-		if cfg.Backend != nil {
-			cfg.Backend.Rollback(tx)
-		}
-		sched.Abort(tx)
-		attempts[tx]++
-		delete(inFlight, tx)
-		m.Aborts++
-	}
-
-	collectWounds := func() {
-		for _, w := range sched.Wounded() {
-			if !committed[w] {
-				wounded[w] = true
-			}
-		}
-	}
-
-	// tryRequest decides one request; returns (verdict, decided).
-	tryRequest := func(r request) (verdict, bool) {
-		if wounded[r.tx] {
-			delete(wounded, r.tx)
-			abortOne(r.tx)
-			return verdict{aborted: true, decided: time.Now()}, true
-		}
-		inFlight[r.tx] = true
-		d := sched.Try(core.StepID{Tx: r.tx, Idx: r.idx})
-		collectWounds()
-		now := time.Now()
-		switch d {
-		case online.Grant:
-			// A transaction wounded by its own request's side effects is
-			// honored on its next request, not this grant.
-			return grantOne(r, now), true
-		case online.AbortTx:
-			abortOne(r.tx)
-			return verdict{aborted: true, decided: now}, true
-		default:
-			return verdict{}, false
-		}
-	}
-
-	retryParked := func() {
-		for {
-			progressed := false
-			kept := waiting[:0]
-			for _, p := range waiting {
-				if wounded[p.req.tx] {
-					delete(wounded, p.req.tx)
-					abortOne(p.req.tx)
-					p.req.reply <- verdict{aborted: true, parked: true, decided: time.Now()}
-					progressed = true
-					continue
-				}
-				if v, decided := tryRequest(p.req); decided {
-					v.decided = time.Now()
-					v.parked = true
-					p.req.reply <- v
-					progressed = true
-				} else {
-					kept = append(kept, p)
-				}
-			}
-			waiting = kept
-			if !progressed {
-				return
-			}
-		}
-	}
-
-	breakDeadlock := func() {
-		// All in-flight transactions parked: abort a victim.
-		var stuck []int
-		for _, p := range waiting {
-			stuck = append(stuck, p.req.tx)
-		}
-		if len(stuck) == 0 {
-			return
-		}
-		victim, ok := sched.Victim(stuck)
-		if !ok || !containsInt(stuck, victim) {
-			victim = stuck[0]
-		}
-		m.DeadlockBreaks++
-		kept := waiting[:0]
-		var victimReply chan verdict
-		for _, p := range waiting {
-			if p.req.tx == victim && victimReply == nil {
-				victimReply = p.req.reply
-				continue
-			}
-			kept = append(kept, p)
-		}
-		waiting = kept
-		abortOne(victim)
-		victimReply <- verdict{aborted: true, parked: true, decided: time.Now()}
-		retryParked()
-	}
-
-	// checkDeadlock breaks victims while every in-flight transaction is
-	// parked and no commit is pending (a pending commit always arrives and
-	// may unblock the waiters for free).
-	checkDeadlock := func() {
-		for len(committing) == 0 && len(waiting) > 0 && len(waiting) >= len(inFlight) && allParked(waiting, inFlight) {
-			breakDeadlock()
-		}
-	}
-
-	// Scheduler goroutine: the single centralized scheduler of Section 6.
-	// With Batch > 1 it coalesces its intake: everything queued on a channel
-	// is drained opportunistically and processed under one critical section
-	// — one parked-retry scan and one deadlock check per batch instead of
-	// one per request/commit. The coalescing bound adapts (AIMD on observed
-	// backlog, batchSizer) so Batch is the cap, not a fixed size; each
-	// channel has its own sizer — commit drains are often singletons, and a
-	// shared bound would let them keep halving what the request path earned.
-	// schedWG joins the scheduler before Run returns: every sender has
-	// exited by the time done is closed (wg.Wait above the close), so the
-	// scheduler drains nothing after the join starts and Wait is bounded.
-	// Without the join the goroutine could still be inside a mu-protected
-	// batch while Run's caller reads Metrics — the race gojoin exists to
-	// prevent.
-	var schedWG sync.WaitGroup
-	schedWG.Add(1)
-	go func() {
-		defer schedWG.Done()
-		reqSizer := newBatchSizer(batch)
-		commitSizer := newBatchSizer(batch)
-		reqBuf := make([]request, 0, batch)
-		commitBuf := make([]int, 0, batch)
-		for {
-			select {
-			case r := <-reqCh:
-				bound := reqSizer.bound()
-				reqBuf = append(reqBuf[:0], r)
-			reqDrain:
-				for len(reqBuf) < bound {
-					select {
-					case r2 := <-reqCh:
-						reqBuf = append(reqBuf, r2)
-					default:
-						break reqDrain
-					}
-				}
-				reqSizer.observe(len(reqBuf))
-				mu.Lock()
-				for _, r := range reqBuf {
-					if v, decided := tryRequest(r); decided {
-						r.reply <- v
-					} else {
-						waiting = append(waiting, parked{req: r, since: time.Now()})
-					}
-				}
-				retryParked()
-				checkDeadlock()
-				mu.Unlock()
-			case tx := <-commitCh:
-				bound := commitSizer.bound()
-				commitBuf = append(commitBuf[:0], tx)
-			commitDrain:
-				for len(commitBuf) < bound {
-					select {
-					case tx2 := <-commitCh:
-						commitBuf = append(commitBuf, tx2)
-					default:
-						break commitDrain
-					}
-				}
-				commitSizer.observe(len(commitBuf))
-				mu.Lock()
-				for _, tx := range commitBuf {
-					delete(committing, tx)
-					sched.Commit(tx)
-				}
-				retryParked()
-				checkDeadlock()
-				mu.Unlock()
-			case f := <-failCh:
-				mu.Lock()
-				if f.last {
-					// The final step's grant marked the transaction
-					// committed before its execution failed; undo that
-					// record — it must not commit.
-					committed[f.tx] = false
-					delete(committing, f.tx)
-				}
-				abortOne(f.tx)
-				retryParked()
-				checkDeadlock()
-				mu.Unlock()
-				f.ack <- struct{}{}
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	jobCh := make(chan int)
-	for u := 0; u < users; u++ {
-		wg.Add(1)
-		go func(user int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(user)*7919))
-			// reply and ack are this user's reusable one-shot channels:
-			// every request gets exactly one verdict and the user reads it
-			// before issuing the next request, so one buffered channel per
-			// user replaces the per-step make(chan verdict, 1) that
-			// dominated the hot path's allocations.
-			reply := make(chan verdict, 1)
-			ack := make(chan struct{}, 1)
-			for tx := range jobCh {
-				txStart := time.Now()
-				for {
-					restart, failed := false, false
-					steps := len(sys.Txs[tx].Steps)
-					for idx := 0; idx < steps; idx++ {
-						if cfg.ThinkTime > 0 {
-							time.Sleep(time.Duration(rng.Int63n(int64(cfg.ThinkTime) + 1)))
-						}
-						sent := time.Now()
-						reqCh <- request{tx: tx, idx: idx, arrived: sent, reply: reply}
-						v := <-reply
-						mu.Lock()
-						if v.parked {
-							m.WaitNs.Add(float64(v.decided.Sub(sent)))
-						} else {
-							m.SchedNs.Add(float64(v.decided.Sub(sent)))
-						}
-						mu.Unlock()
-						if v.aborted {
-							restart = true
-							break
-						}
-						if !applyStep(&cfg, tx, idx, m, &mu, &errs) {
-							// Failed execution: abort through the scheduler
-							// and stop this transaction for good — no later
-							// steps, no commit. Run surfaces the recorded
-							// error.
-							failCh <- failure{tx: tx, last: v.lastGranted, ack: ack}
-							<-ack
-							failed = true
-							break
-						}
-						if v.lastGranted {
-							if cfg.Backend != nil {
-								cfg.Backend.Commit(tx)
-								// Durable commit path: the centralized runtime
-								// has no commit pipeline, so each commit is its
-								// own group of one — sync it now. A failed sync
-								// is lost durability; surface it as the run
-								// error.
-								if gs, ok := cfg.Backend.(storage.GroupSyncer); ok {
-									if err := gs.GroupSync(); err != nil {
-										errs.set(fmt.Errorf("sim: durable commit of tx %d: %w", tx, err))
-									}
-								}
-							}
-							commitCh <- tx
-						}
-					}
-					if failed || !restart {
-						break
-					}
-					mu.Lock()
-					budget := attempts[tx] > maxRestarts
-					mu.Unlock()
-					if budget {
-						break
-					}
-					// Randomized backoff before restarting.
-					time.Sleep(time.Duration(rng.Int63n(int64(50 * time.Microsecond))))
-				}
-				mu.Lock()
-				m.TxLatencyNs.Add(float64(time.Since(txStart)))
-				mu.Unlock()
-			}
-		}(u)
-	}
-
-	start := time.Now()
-	for tx := 0; tx < sys.NumTxs(); tx++ {
-		jobCh <- tx
-	}
-	close(jobCh)
-	wg.Wait()
-	close(done)
-	schedWG.Wait()
-	m.Elapsed = time.Since(start)
-	if err := errs.get(); err != nil {
-		return nil, err
-	}
-	if err := durableErr(cfg.Backend); err != nil {
-		return nil, err
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	for tx := 0; tx < sys.NumTxs(); tx++ {
-		if committed[tx] {
-			m.Committed++
-		}
-	}
-	if m.Elapsed > 0 {
-		m.Throughput = float64(m.Committed) / m.Elapsed.Seconds()
-	}
-	m.Output = projectFinal(output, committed)
-	fillAllocStats(m, &am)
-	fillSnapshotStats(m, cfg.Backend)
-	fillDurableStats(m, cfg.Backend)
-	return m, nil
+	return runSharded(cfg, cs, sys, users, maxRestarts, batch)
 }
 
 // fillSnapshotStats copies the backend's snapshot-path counters into the
@@ -781,19 +404,4 @@ func containsInt(xs []int, x int) bool {
 		}
 	}
 	return false
-}
-
-// allParked reports whether every in-flight transaction has a parked
-// request.
-func allParked(waiting []parked, inFlight map[int]bool) bool {
-	parkedTx := map[int]bool{}
-	for _, p := range waiting {
-		parkedTx[p.req.tx] = true
-	}
-	for tx := range inFlight {
-		if !parkedTx[tx] {
-			return false
-		}
-	}
-	return len(inFlight) > 0
 }

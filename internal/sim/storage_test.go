@@ -1,8 +1,8 @@
 package sim
 
-// Real-storage coverage for both runtimes (the centralized scheduler
-// goroutine and the per-shard dispatch loops): every test executes granted
-// steps against the sharded KV backend and checks the replay invariant —
+// Real-storage coverage for the dispatch runtime: every test executes
+// granted steps against the sharded KV backend and checks the replay
+// invariant —
 // the committed backend state equals core.Exec of the committed schedule.
 // The invariant is guaranteed for strict executions (serial and the strict
 // 2PL family; see internal/storage), which is exactly the scheduler set
@@ -19,9 +19,12 @@ import (
 	"optcc/internal/workload"
 )
 
-// strictSchedulers enumerates every strict scheduler configuration, central
-// and sharded: the universe for which undo-log rollback guarantees that the
-// backend state matches the committed replay.
+// strictSchedulers enumerates every strict scheduler configuration: the
+// universe for which undo-log rollback guarantees that the backend state
+// matches the committed replay. The central/* cases pass a plain scheduler,
+// which Run wraps in Mutexed — the one central scheduler of Section 6 —
+// and are the only runtime coverage of serial, detect, no-wait, wait-die
+// and conservative 2PL; mutexed/* pass the wrapper explicitly.
 func strictSchedulers() []struct {
 	name string
 	mk   func() online.Scheduler
@@ -85,7 +88,7 @@ func checkReplayInvariant(t *testing.T, name string, mk func() online.Scheduler,
 }
 
 // TestBackendStateMatchesCommittedReplay is the acceptance invariant: for
-// every strict scheduler — central and sharded, unbatched and batched — a
+// every strict scheduler — plain and sharded, unbatched and batched — a
 // run over real storage leaves the backend in exactly the state of serially
 // replaying the committed schedule, on workloads spanning low contention,
 // interpreted banking transfers, and a deadlock-prone cross pattern.

@@ -16,8 +16,7 @@ const (
 	// FsyncGroup (the default) defers the fsync to GroupSync, which the
 	// GroupCommitter invokes once per drained group — one fsync covers
 	// every commit record appended since the last sync, the classic group
-	// commit amortization. The centralized runtime calls GroupSync after
-	// each commit (a group of one), which degenerates to FsyncAlways.
+	// commit amortization. A group of one degenerates to FsyncAlways.
 	FsyncGroup FsyncPolicy = iota
 	// FsyncAlways syncs inside every Commit: each transaction is durable
 	// before its commit returns, at one fsync per transaction.

@@ -25,7 +25,7 @@
 // (the granted-step log projected to final attempts) whenever the execution
 // is strict: no transaction reads or overwrites a value written by a
 // transaction that has not yet committed or rolled back. Serial and the
-// strict 2PL family (central, Mutexed, Sharded, ConcurrentStrict2PL)
+// strict 2PL family (Mutexed, Sharded, ConcurrentStrict2PL)
 // guarantee strictness — locks are held to commit, and rollback runs before
 // lock release — so for them the invariant holds on every run; the
 // race-enabled tests in internal/sim prove it. Non-strict schedulers
