@@ -64,10 +64,10 @@
 // removed after the run; a named -dir persists and is reported). -fsync
 // picks the durability policy: always (one fsync per commit), group (one
 // per drained commit group — pair with -batch and -shards to grow the
-// groups), never (leave flushing to the OS). Strict schedulers (serial,
-// the 2PL family) run the eager redo+undo mode; everything else runs
-// write-buffered, where uncommitted writes never reach the log — that is
-// what makes non-strict schedulers recoverable (see internal/storage).
+// groups), never (leave flushing to the OS). Every scheduler runs
+// write-buffered: uncommitted writes never reach the log, which stays
+// redo-only — that is what makes non-strict schedulers recoverable (see
+// internal/storage).
 //
 // -checkpoint N arms the disk backend's background fuzzy checkpointer:
 // every N bytes of WAL growth it snapshots the store to a checkpoint file
@@ -252,11 +252,7 @@ func main() {
 		// Payload-buffer recycling is only sound under strict execution
 		// (storage.Config.Recycle), so enable it exactly for the strict
 		// scheduler family — mv's read-write transactions use unpinned
-		// chain reads, so it stays off there too. The disk backend uses
-		// the same strictness split for its execution mode: eager
-		// redo+undo logging for strict schedulers, write-buffered for
-		// everything else (an uncommitted write must never reach the log
-		// when a non-strict scheduler may still order around it).
+		// chain reads, so it stays off there too.
 		strict := *sc == "serial" || strings.HasPrefix(*sc, "2pl")
 		policy, err := storage.ParseFsyncPolicy(*fsync)
 		if err != nil {
@@ -265,7 +261,7 @@ func main() {
 		}
 		be, err = storage.New(*backend, storage.Config{
 			Shards: s, ValueSize: *valueSize, Recycle: strict,
-			Dir: *dir, Fsync: policy, Buffered: !strict,
+			Dir: *dir, Fsync: policy,
 			CheckpointBytes: *ckpt,
 		})
 		if err != nil {

@@ -1202,14 +1202,13 @@ var E13Config = struct {
 }{Jobs: 128, Users: 16, Shards: 4, Batches: []int{1, 8, 32}, Fsyncs: []string{"always", "group", "never"}}
 
 // E13DurableCommit measures the durable disk backend (append-only
-// checksummed WAL segments, ARIES-style redo/undo recovery) across fsync
-// policy × batch size on the conflict-free disjoint workload, where run
-// time is dispatch + durability cost — exactly what fsync policy and group
-// commit move. Two execution modes run the sweep: natively sharded strict
-// 2PL on the eager backend (updates logged redo+undo as they execute) and
-// native timestamp ordering on the write-buffered backend (uncommitted
-// writes never reach the log, which is what makes the non-strict scheduler
-// recoverable). fsync=always syncs inside every commit; fsync=group defers
+// checksummed WAL segments of commit records, redo-only recovery) across
+// fsync policy × batch size on the conflict-free disjoint workload, where
+// run time is dispatch + durability cost — exactly what fsync policy and
+// group commit move. Two schedulers run the sweep: natively sharded strict
+// 2PL and native timestamp ordering (non-strict, recoverable because
+// uncommitted writes never reach the log). fsync=always syncs inside every
+// commit; fsync=group defers
 // to the group-commit pipeline, one fsync per drained lane group —
 // batching grows the groups, so the fsync count collapses; fsync=never
 // leaves flushing to the OS (crash may lose commits, never tear them).
@@ -1231,7 +1230,7 @@ func E13Quick() (*Result, error) {
 func e13WithScale(jobs, users, shards int, batches []int, fsyncs []string) (*Result, error) {
 	res := &Result{
 		ID:    "E13",
-		Title: "Durable commit — fsync policy × batch size on the WAL disk backend (eager 2PL and write-buffered cto)",
+		Title: "Durable commit — fsync policy × batch size on the WAL disk backend (2PL and cto)",
 		Text: "Disjoint workload (zero conflicts): run time is dispatch + durability cost. " +
 			"fsync=always pays one fsync per commit; fsync=group pays one per drained commit " +
 			"group (batching grows the groups); fsync=never defers to the OS. Self-check per " +
@@ -1239,16 +1238,15 @@ func e13WithScale(jobs, users, shards int, batches []int, fsyncs []string) (*Res
 			"with a clean log tail.",
 	}
 	template := workload.Disjoint(jobs, 3)
-	modes := []struct {
-		name     string
-		buffered bool
-		mk       func() online.Scheduler
+	scheds := []struct {
+		name string
+		mk   func() online.Scheduler
 	}{
-		{"2pl-sharded eager", false, func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards) }},
-		{"cto write-buffered", true, func() online.Scheduler { return online.NewConcurrentTO(shards) }},
+		{"2pl-sharded", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards) }},
+		{"cto", func() online.Scheduler { return online.NewConcurrentTO(shards) }},
 	}
-	for _, mode := range modes {
-		t := report.NewTable(fmt.Sprintf("%s, %d jobs, %d users, %d shards", mode.name, jobs, users, shards),
+	for _, sc := range scheds {
+		t := report.NewTable(fmt.Sprintf("%s, %d jobs, %d users, %d shards", sc.name, jobs, users, shards),
 			"fsync", "batch", "committed", "fsyncs", "wal-KB", "group-size", "throughput-tx/s", "self-check")
 		// throughput[fsync][batch], for the group-vs-always amortization
 		// summary appended to the text.
@@ -1260,48 +1258,48 @@ func e13WithScale(jobs, users, shards int, batches []int, fsyncs []string) (*Res
 			}
 			tp[fs] = map[int]float64{}
 			for _, batch := range batches {
-				be, err := storage.NewDisk(storage.Config{Fsync: policy, Buffered: mode.buffered})
+				be, err := storage.NewDisk(storage.Config{Fsync: policy})
 				if err != nil {
 					return nil, fmt.Errorf("E13: %w", err)
 				}
 				inst := sim.Instantiate(template, jobs)
 				m, err := sim.Run(sim.Config{
-					System: inst, Sched: mode.mk(), Backend: be,
+					System: inst, Sched: sc.mk(), Backend: be,
 					Users: users, Seed: 1979, Batch: batch,
 				})
 				if err != nil {
 					be.Destroy()
-					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d: %w", mode.name, fs, batch, err)
+					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d: %w", sc.name, fs, batch, err)
 				}
 				if m.Committed != jobs {
 					be.Destroy()
-					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d committed %d of %d", mode.name, fs, batch, m.Committed, jobs)
+					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d committed %d of %d", sc.name, fs, batch, m.Committed, jobs)
 				}
 				replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
 				if err != nil {
 					be.Destroy()
-					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d replay: %w", mode.name, fs, batch, err)
+					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d replay: %w", sc.name, fs, batch, err)
 				}
 				if !be.State().Equal(replay) {
 					be.Destroy()
-					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d live state diverged from committed replay", mode.name, fs, batch)
+					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d live state diverged from committed replay", sc.name, fs, batch)
 				}
 				dir := be.Dir()
 				if err := be.Close(); err != nil {
-					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d close: %w", mode.name, fs, batch, err)
+					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d close: %w", sc.name, fs, batch, err)
 				}
 				r, err := storage.OpenDisk(storage.Config{Dir: dir})
 				if err != nil {
-					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d recovery: %w", mode.name, fs, batch, err)
+					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d recovery: %w", sc.name, fs, batch, err)
 				}
 				recovered := r.State()
 				truncated := r.DurabilityStats().WALTruncated
 				r.Destroy()
 				if !recovered.Equal(replay) {
-					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d recovered state diverged from committed replay", mode.name, fs, batch)
+					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d recovered state diverged from committed replay", sc.name, fs, batch)
 				}
 				if truncated != 0 {
-					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d clean shutdown recovered a truncated log", mode.name, fs, batch)
+					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d clean shutdown recovered a truncated log", sc.name, fs, batch)
 				}
 				tp[fs][batch] = m.Throughput
 				t.AddRow(fs, batch, m.Committed, m.Fsyncs, float64(m.WALBytes)/1024,
@@ -1317,7 +1315,7 @@ func e13WithScale(jobs, users, shards int, batches []int, fsyncs []string) (*Res
 			}
 			if always, group := tp["always"][batch], tp["group"][batch]; always > 0 && group > 0 {
 				res.Text += fmt.Sprintf("\n%s batch %d: fsync=group throughput %.1fx fsync=always.",
-					mode.name, batch, group/always)
+					sc.name, batch, group/always)
 			}
 		}
 	}
@@ -1368,7 +1366,7 @@ func e14WithScale(volumes []int, users, shards, batch, segBytes int, intervals [
 	res := &Result{
 		ID:    "E14",
 		Title: "Online fuzzy checkpointing — interval × commit volume on the WAL disk backend",
-		Text: "Disjoint workload under sharded strict 2PL (eager redo+undo logging, group " +
+		Text: "Disjoint workload under sharded strict 2PL (redo-only commit records, group " +
 			"commit). interval is Config.CheckpointBytes: WAL bytes between background fuzzy " +
 			"checkpoints (0 = off). footprint is the on-disk bytes (segments + checkpoint " +
 			"files) after a clean Close; recovery-KB is what the subsequent OpenDisk replayed " +

@@ -163,7 +163,7 @@ func TestE13Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One table per execution mode (eager 2PL, write-buffered cto); the
+	// One table per scheduler (sharded 2PL, cto); the
 	// runner itself asserts the per-cell durability self-check: live state
 	// == committed replay == state recovered by OpenDisk after Close.
 	if len(r.Tables) != 2 {

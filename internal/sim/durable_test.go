@@ -2,10 +2,9 @@ package sim
 
 // Durable-backend coverage for both runtimes: the replay invariant now has
 // to hold twice — once against the live disk backend, and again against
-// the state OpenDisk recovers after the backend is closed. Strict
-// schedulers run the eager (redo+undo) mode; the natively concurrent
-// non-strict TO scheduler runs write-buffered, which is exactly what makes
-// it recoverable.
+// the state OpenDisk recovers after the backend is closed. The disk
+// backend buffers every transaction's writes until commit, which is what
+// makes even the natively concurrent non-strict TO scheduler recoverable.
 
 import (
 	"fmt"
@@ -22,11 +21,11 @@ import (
 // checks the replay invariant against the live state, then closes the
 // store, recovers it with OpenDisk, and checks the invariant again on the
 // recovered state. Returns the run metrics.
-func checkDurableReplay(t *testing.T, name string, mk func() online.Scheduler, template *core.System, jobs, users int, seed int64, batch int, fsync storage.FsyncPolicy, buffered bool) *Metrics {
+func checkDurableReplay(t *testing.T, name string, mk func() online.Scheduler, template *core.System, jobs, users int, seed int64, batch int, fsync storage.FsyncPolicy) *Metrics {
 	t.Helper()
 	inst := Instantiate(template, jobs)
 	dir := t.TempDir()
-	be, err := storage.NewDisk(storage.Config{Dir: dir, Fsync: fsync, Buffered: buffered})
+	be, err := storage.NewDisk(storage.Config{Dir: dir, Fsync: fsync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func checkDurableReplay(t *testing.T, name string, mk func() online.Scheduler, t
 	return m
 }
 
-// TestDiskBackendReplayAndRecovery: strict schedulers on the eager disk
+// TestDiskBackendReplayAndRecovery: strict schedulers on the disk
 // backend — plain (central, wrapped in Mutexed by Run) and sharded —
 // across batching modes and all three fsync policies: the committed
 // replay must match the live state AND the recovered state.
@@ -80,7 +79,7 @@ func TestDiskBackendReplayAndRecovery(t *testing.T) {
 			for _, sc := range scheds {
 				name := fmt.Sprintf("%s/fsync-%s/batch%d", sc.name, fsync, batch)
 				t.Run(name, func(t *testing.T) {
-					m := checkDurableReplay(t, name, sc.mk, workload.Banking(), 12, 6, 42, batch, fsync, false)
+					m := checkDurableReplay(t, name, sc.mk, workload.Banking(), 12, 6, 42, batch, fsync)
 					if fsync != storage.FsyncNever && m.Fsyncs == 0 {
 						t.Errorf("%s: no fsyncs recorded in metrics", name)
 					}
@@ -94,16 +93,15 @@ func TestDiskBackendReplayAndRecovery(t *testing.T) {
 }
 
 // TestDiskBufferedNonStrictRecovery: the natively concurrent TO scheduler
-// is non-strict — with eager writes its state is best-effort, but
-// write-buffered execution logs only commit records, so the replay AND
-// recovery invariants hold on a conflict-free workload.
+// is non-strict, but write-buffered execution logs only commit records, so
+// the replay AND recovery invariants hold on a conflict-free workload.
 func TestDiskBufferedNonStrictRecovery(t *testing.T) {
 	for _, batch := range []int{1, 8} {
 		name := fmt.Sprintf("cto4/buffered/batch%d", batch)
 		t.Run(name, func(t *testing.T) {
 			m := checkDurableReplay(t, name,
 				func() online.Scheduler { return online.NewConcurrentTO(4) },
-				workload.Disjoint(16, 2), 16, 8, 7, batch, storage.FsyncGroup, true)
+				workload.Disjoint(16, 2), 16, 8, 7, batch, storage.FsyncGroup)
 			if m.Fsyncs == 0 {
 				t.Errorf("%s: no fsyncs recorded", name)
 			}

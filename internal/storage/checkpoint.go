@@ -4,24 +4,21 @@ package storage
 //
 // Without it the log only shrinks at OpenDisk — a serving process
 // accumulates sealed segments without bound and its recovery time grows
-// with log-since-birth. The checkpointer bounds both, ARIES-style adapted
-// to this log's record algebra:
+// with log-since-birth. The checkpointer bounds both:
 //
-//  1. Capture (fuzzy, under d.mu, O(table) copy — commits proceed the
-//     moment the mutex drops): copy the table, copy the undo chains of
-//     live eager transactions, and note the anchor — (segment aseq, byte
-//     offset aoff) of the active segment. Because every table mutation and
-//     its log append happen together under d.mu, the capture equals the
-//     replay of the log prefix [.., aseq:aoff) exactly; the chains make
-//     the snapshot self-sufficient even while transactions are in flight
-//     (a captured live transaction that later aborts, or never ends, is
-//     undone from the checkpoint's own chains — its update records may be
-//     behind the checkpoint and already retired).
+//  1. Capture (fuzzy, under d.mu, O(table) encode — commits proceed the
+//     moment the mutex drops): encode the table as a snapshot record and
+//     note the anchor — (segment aseq, byte offset aoff) of the active
+//     segment. Because every table mutation and its log append happen
+//     together under d.mu, the capture equals the replay of the log prefix
+//     [.., aseq:aoff) exactly. Transactions in flight need nothing: their writes are still
+//     in their write sets, outside both the table and the log, and reach
+//     the log after the anchor inside their commit records.
 //  2. Write the checkpoint file ckpt-N.ckpt off-mutex with the established
-//     tmp → sync → rename protocol: a header marker record (anchor), one
-//     snapshot record (the table), one update record per live chain entry.
-//     Same framing and checksums as the WAL, so torn checkpoints are
-//     detected exactly like torn segments — and ignored by recovery.
+//     tmp → sync → rename protocol: a header marker record (anchor), then
+//     one snapshot record (the table). Same framing and checksums as the
+//     WAL, so torn checkpoints are detected exactly like torn segments —
+//     and ignored by recovery.
 //  3. Append the checkpoint marker to the WAL and sync it durable. The
 //     marker is what recovery and the torture harness cross-check; nothing
 //     is unlinked before it is on disk.
@@ -48,8 +45,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"optcc/internal/core"
 )
 
 // errCkptSuperseded is returned by checkpointOnce when a Reset bumped the
@@ -171,9 +166,12 @@ func (d *Disk) Checkpoint() error {
 
 func (d *Disk) checkpointOnce() error {
 	// Step 1: fuzzy capture under d.mu. The anchor (aseq, aoff) names the
-	// exact log position the copied state equals; everything the store
+	// exact log position the captured state equals; everything the store
 	// appends after the unlock lands at or beyond it and will be replayed
-	// by recovery on top of the checkpoint.
+	// by recovery on top of the checkpoint. The table is captured as its
+	// encoded snapshot frame, in this checkpoint's own encoder (d.enc
+	// belongs to the append path) — no map copy of the table is made.
+	var snap walEncoder
 	d.mu.Lock()
 	if d.err != nil {
 		err := d.err
@@ -189,32 +187,14 @@ func (d *Disk) checkpointOnce() error {
 	aoff := d.activeBytes
 	d.ckptSeq++
 	cseq := d.ckptSeq
-	table := make(map[core.Var]core.Value, len(d.table))
-	for v, val := range d.table {
-		table[v] = val
-	}
-	var liveTx []int
-	var liveChains [][]diskUndo
-	if !d.buffered {
-		// Live eager transactions have updates in the table (and possibly
-		// only in retired segments); their undo chains ride along so the
-		// checkpoint alone can revert them. Buffered transactions keep
-		// uncommitted writes out of both table and log — nothing to carry.
-		for tx, c := range d.ctx {
-			if len(c.undo) > 0 {
-				liveTx = append(liveTx, tx)
-				liveChains = append(liveChains, append([]diskUndo(nil), c.undo...))
-			}
-		}
-	}
+	snapFrame := snap.encodeSnapshot(d.table)
 	d.sinceCkpt = 0
 	d.mu.Unlock()
 
 	// Step 2: write the checkpoint file off-mutex, tmp → sync → rename.
 	// Separate frames per record keep the fault injector's granularity:
-	// every write is its own crash point. d.enc belongs to the append path
-	// (under mu); this uses its own encoder.
-	var enc walEncoder
+	// every write is its own crash point.
+	var hdr walEncoder
 	tmp := segPath(d.dir, ckptName(cseq)+ckptTmpExt)
 	f, err := d.fs.Create(tmp)
 	if err != nil {
@@ -226,20 +206,9 @@ func (d *Disk) checkpointOnce() error {
 		written += int64(n)
 		return werr
 	}
-	werr := write(enc.encodeCkpt(cseq, aseq, aoff))
+	werr := write(hdr.encodeCkpt(cseq, aseq, aoff))
 	if werr == nil {
-		db := make(core.DB, len(table))
-		for v, val := range table {
-			db[v] = val
-		}
-		werr = write(enc.encodeSnapshot(db))
-	}
-	for i := 0; werr == nil && i < len(liveTx); i++ {
-		for _, u := range liveChains[i] {
-			if werr = write(enc.encodeUpdate(liveTx[i], u.v, u.old, table[u.v], u.existed)); werr != nil {
-				break
-			}
-		}
+		werr = write(snapFrame)
 	}
 	if werr == nil {
 		werr = f.Sync()

@@ -67,8 +67,8 @@ func runCkptTortureWorkload(d *Disk, sys *core.System) (synced []int) {
 // ckptTortureConfig: segments small enough that every checkpoint has
 // something to retire, no background loop (explicit checkpoints keep the
 // operation sequence deterministic for the injection sweep).
-func ckptTortureConfig(dir string, fs FS, buffered bool) Config {
-	return Config{Dir: dir, FS: fs, Fsync: FsyncAlways, Buffered: buffered, SegmentBytes: 192}
+func ckptTortureConfig(dir string, fs FS) Config {
+	return Config{Dir: dir, FS: fs, Fsync: FsyncAlways, SegmentBytes: 192}
 }
 
 // TestCheckpointCrashRecoveryEveryInjectionPoint is the exhaustive sweep
@@ -76,47 +76,41 @@ func ckptTortureConfig(dir string, fs FS, buffered bool) Config {
 // and the crash lands at EVERY countable operation in turn — including
 // the checkpoint file's writes and sync, its publishing rename, the WAL
 // marker append and sync, and each retirement unlink. Recovery must be
-// exact at all of them, in both execution modes.
+// exact at all of them.
 func TestCheckpointCrashRecoveryEveryInjectionPoint(t *testing.T) {
 	sys := tortureSystem(8)
-	for _, buffered := range []bool{false, true} {
-		mode := "eager"
-		if buffered {
-			mode = "buffered"
+	t.Run("buffered", func(t *testing.T) {
+		// Fault-free run sizes the injection space.
+		efs := NewErrFS(OSFS{})
+		d, err := NewDisk(ckptTortureConfig(t.TempDir(), efs))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(mode, func(t *testing.T) {
-			// Fault-free run sizes the injection space.
+		d.Reset(tortureInit)
+		if got := len(runCkptTortureWorkload(d, sys)); got != len(sys.Txs) {
+			t.Fatalf("fault-free run committed %d of %d", got, len(sys.Txs))
+		}
+		if ds := d.DurabilityStats(); ds.Checkpoints == 0 || ds.SegmentsRetired == 0 {
+			t.Fatalf("fault-free run exercised no retirement: %+v", ds)
+		}
+		d.Close()
+		total := efs.Ops()
+
+		for k := int64(1); k <= total; k++ {
+			dir := t.TempDir()
 			efs := NewErrFS(OSFS{})
-			d, err := NewDisk(ckptTortureConfig(t.TempDir(), efs, buffered))
+			d, err := NewDisk(ckptTortureConfig(dir, efs))
 			if err != nil {
 				t.Fatal(err)
 			}
+			efs.CrashAt(k)
 			d.Reset(tortureInit)
-			if got := len(runCkptTortureWorkload(d, sys)); got != len(sys.Txs) {
-				t.Fatalf("fault-free run committed %d of %d", got, len(sys.Txs))
-			}
-			if ds := d.DurabilityStats(); ds.Checkpoints == 0 || ds.SegmentsRetired == 0 {
-				t.Fatalf("fault-free run exercised no retirement: %+v", ds)
-			}
-			d.Close()
-			total := efs.Ops()
-
-			for k := int64(1); k <= total; k++ {
-				dir := t.TempDir()
-				efs := NewErrFS(OSFS{})
-				d, err := NewDisk(ckptTortureConfig(dir, efs, buffered))
-				if err != nil {
-					t.Fatal(err)
-				}
-				efs.CrashAt(k)
-				d.Reset(tortureInit)
-				synced := runCkptTortureWorkload(d, sys)
-				// No Close: the process "died". Recover from the real files.
-				dropLock(d)
-				checkRecovered(t, fmt.Sprintf("%s/ckpt-crash@%d", mode, k), dir, sys, synced)
-			}
-		})
-	}
+			synced := runCkptTortureWorkload(d, sys)
+			// No Close: the process "died". Recover from the real files.
+			dropLock(d)
+			checkRecovered(t, fmt.Sprintf("ckpt-crash@%d", k), dir, sys, synced)
+		}
+	})
 }
 
 // TestCheckpointTransientFaultSweep is the FailAt/ShortWriteAt analogue:
@@ -125,43 +119,37 @@ func TestCheckpointCrashRecoveryEveryInjectionPoint(t *testing.T) {
 // checkpoint. Either way recovery must be exact.
 func TestCheckpointTransientFaultSweep(t *testing.T) {
 	sys := tortureSystem(8)
-	for _, buffered := range []bool{false, true} {
-		mode := "eager"
-		if buffered {
-			mode = "buffered"
+	t.Run("buffered", func(t *testing.T) {
+		efs := NewErrFS(OSFS{})
+		d, err := NewDisk(ckptTortureConfig(t.TempDir(), efs))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(mode, func(t *testing.T) {
-			efs := NewErrFS(OSFS{})
-			d, err := NewDisk(ckptTortureConfig(t.TempDir(), efs, buffered))
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.Reset(tortureInit)
-			runCkptTortureWorkload(d, sys)
-			d.Close()
-			total := efs.Ops()
+		d.Reset(tortureInit)
+		runCkptTortureWorkload(d, sys)
+		d.Close()
+		total := efs.Ops()
 
-			for k := int64(1); k <= total; k += 3 { // sample a third of the space
-				for _, fault := range []string{"fail", "short"} {
-					dir := t.TempDir()
-					efs := NewErrFS(OSFS{})
-					d, err := NewDisk(ckptTortureConfig(dir, efs, buffered))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fault == "fail" {
-						efs.FailAt(k)
-					} else {
-						efs.ShortWriteAt(k)
-					}
-					d.Reset(tortureInit)
-					synced := runCkptTortureWorkload(d, sys)
-					d.Close()
-					checkRecovered(t, fmt.Sprintf("%s/ckpt-%s@%d", mode, fault, k), dir, sys, synced)
+		for k := int64(1); k <= total; k += 3 { // sample a third of the space
+			for _, fault := range []string{"fail", "short"} {
+				dir := t.TempDir()
+				efs := NewErrFS(OSFS{})
+				d, err := NewDisk(ckptTortureConfig(dir, efs))
+				if err != nil {
+					t.Fatal(err)
 				}
+				if fault == "fail" {
+					efs.FailAt(k)
+				} else {
+					efs.ShortWriteAt(k)
+				}
+				d.Reset(tortureInit)
+				synced := runCkptTortureWorkload(d, sys)
+				d.Close()
+				checkRecovered(t, fmt.Sprintf("ckpt-%s@%d", fault, k), dir, sys, synced)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestCheckpointRetiresSegments pins the tentpole's visible effect: after
@@ -208,11 +196,11 @@ func TestCheckpointRetiresSegments(t *testing.T) {
 }
 
 // TestCheckpointLiveTransactions is the "fuzzy" in fuzzy checkpoint: a
-// checkpoint captured while an eager transaction is mid-flight must carry
-// its undo chain, because its update records may be retired with the
-// segments. Whatever the transaction then does — crash-never-ends, abort,
-// or commit — recovery must resolve it correctly from the checkpoint plus
-// the tail.
+// checkpoint captured while a transaction is mid-flight must not capture
+// its buffered writes, and a commit after the capture must land in the
+// log tail the checkpoint anchors. Whatever the transaction then does —
+// crash-never-ends, abort, or commit — recovery must resolve it correctly
+// from the checkpoint plus the tail.
 func TestCheckpointLiveTransactions(t *testing.T) {
 	for _, outcome := range []string{"crash", "abort", "commit"} {
 		t.Run(outcome, func(t *testing.T) {
@@ -225,8 +213,8 @@ func TestCheckpointLiveTransactions(t *testing.T) {
 			// Committed baseline the checkpoint must preserve.
 			applyTx(t, d, 1, []walWrite{{v: "x", val: 10}})
 			d.Commit(1)
-			// Transaction 2 is live across the checkpoint: two writes to y
-			// (a two-entry undo chain), nothing committed.
+			// Transaction 2 is live across the checkpoint: two buffered
+			// writes to y, nothing committed.
 			step := func(val core.Value) core.Step {
 				return core.Step{Var: "y", Kind: core.Write, Fn: func([]core.Value) core.Value { return val }}
 			}
@@ -462,14 +450,15 @@ func TestPoisonedStoreNoUnlinks(t *testing.T) {
 	}
 	d.Reset(tortureInit)
 	synced := runTortureWorkload(d, sys)
-	efs.FailAt(efs.Ops() + 1) // poison the very next log write
+	efs.FailAt(efs.Ops() + 1) // poison the very next log write: tx 900's commit record
 	step := core.Step{Var: "poison", Kind: core.Write, Fn: func([]core.Value) core.Value { return 1 }}
-	if err := d.ApplyStep(900, step); err == nil {
-		t.Fatal("armed fault did not fail the write")
+	if err := d.ApplyStep(900, step); err != nil {
+		t.Fatal(err)
 	}
+	d.Commit(900)
 	sticky := d.Err()
 	if sticky == nil {
-		t.Fatal("store not poisoned")
+		t.Fatal("armed fault did not fail the commit record write")
 	}
 	files := func() []string {
 		names, err := os.ReadDir(dir)
@@ -713,13 +702,13 @@ func TestCheckpointerRespawnsAfterDegraded(t *testing.T) {
 }
 
 // TestCheckpointConcurrentCommits runs the background checkpointer against
-// concurrent committers (write-buffered mode, disjoint keys) — the
-// race-detector workout for the capture/retire locking. The final state
+// concurrent committers (disjoint keys) — the race-detector workout for the
+// capture/retire locking. The final state
 // must be exact after recovery and at least one checkpoint must land.
 func TestCheckpointConcurrentCommits(t *testing.T) {
 	const workers, iters = 4, 300
 	dir := t.TempDir()
-	d, err := NewDisk(Config{Dir: dir, Fsync: FsyncGroup, Buffered: true, SegmentBytes: 2048, CheckpointBytes: 8192})
+	d, err := NewDisk(Config{Dir: dir, Fsync: FsyncGroup, SegmentBytes: 2048, CheckpointBytes: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,20 +112,10 @@ type DurableBackend interface {
 	DurabilityStats() DurabilityStats
 }
 
-// diskUndo is one overwritten value in an eagerly-applied transaction,
-// kept for Rollback (and mirrored into the WAL update record so recovery
-// can undo losers the same way).
-type diskUndo struct {
-	v       core.Var
-	old     core.Value
-	existed bool
-}
-
 // diskCtx is a transaction's execution context on the disk backend.
 type diskCtx struct {
 	locals []core.Value
-	undo   []diskUndo // eager mode: overwritten values, newest last
-	writes []walWrite // buffered mode: the deferred write set, in order
+	writes []walWrite // the deferred write set, in order
 }
 
 // Disk is the durable backend: a log-structured store whose only on-disk
@@ -135,21 +125,13 @@ type diskCtx struct {
 // consistent with the WAL; the committed prefix of the log IS the
 // database, which is what makes crash recovery a pure replay.
 //
-// Two execution modes, selected by Config.Buffered:
-//
-//   - Eager (Buffered=false): Put applies to the table immediately and
-//     appends a redo+undo update record; Commit appends a commit record;
-//     Rollback undoes memory and appends an abort record. Correct under
-//     strict schedulers (the 2PL family, serial), where no two live
-//     transactions ever write the same variable.
-//
-//   - Write-buffered (Buffered=true): Put only accumulates in the
-//     transaction's write set; readers see their own writes, everyone else
-//     sees committed state. Commit appends one commit record carrying the
-//     write set and applies it atomically; Rollback discards the buffer
-//     without touching the log. This is what makes non-strict schedulers
-//     (TO/OCC/SGT/mv) recoverable: an uncommitted write can never reach
-//     the log, so recovery never needs to undo one.
+// Execution is write-buffered: Put only accumulates in the transaction's
+// write set; readers see their own writes, everyone else sees committed
+// state. Commit appends one commit record carrying the write set and
+// applies it atomically; Rollback discards the buffer without touching the
+// log. An uncommitted write can therefore never reach the log, so the log
+// is redo-only and recovery never undoes anything — which is also what
+// makes non-strict schedulers (TO/OCC/SGT/mv) recoverable on this backend.
 //
 // Concurrency: in-memory operations and log appends serialize on one
 // mutex; the fsync behind GroupSync runs OFF that mutex (serialized by its
@@ -163,7 +145,6 @@ type Disk struct {
 	fs       FS
 	dir      string
 	policy   FsyncPolicy
-	buffered bool
 	segBytes int64
 
 	// ckptMu serializes whole checkpoints: the background loop and explicit
@@ -178,7 +159,7 @@ type Disk struct {
 	syncMu sync.Mutex
 
 	mu     sync.Mutex
-	table  map[core.Var]core.Value
+	table  core.DB
 	ctx    map[int]*diskCtx
 	enc    walEncoder
 	seq    int         // active segment number
@@ -269,13 +250,12 @@ func NewDisk(cfg Config) (*Disk, error) {
 		fs:         fs,
 		dir:        dir,
 		policy:     cfg.Fsync,
-		buffered:   cfg.Buffered,
 		segBytes:   segBytes,
 		lock:       lock,
 		ckptThresh: int64(cfg.CheckpointBytes),
 		ckptStop:   make(chan struct{}),
 		ckptKick:   make(chan struct{}, 1),
-		table:      make(map[core.Var]core.Value),
+		table:      make(core.DB),
 		ctx:        make(map[int]*diskCtx),
 	}
 	if d.ckptThresh > 0 {
@@ -287,12 +267,7 @@ func NewDisk(cfg Config) (*Disk, error) {
 }
 
 // Name implements Backend.
-func (d *Disk) Name() string {
-	if d.buffered {
-		return "disk(buffered)"
-	}
-	return "disk"
-}
+func (d *Disk) Name() string { return "disk" }
 
 // Dir returns the backing directory.
 func (d *Disk) Dir() string { return d.dir }
@@ -359,7 +334,7 @@ func (d *Disk) resetLocked(init core.DB) {
 			return
 		}
 	}
-	d.table = make(map[core.Var]core.Value, len(init))
+	d.table = make(core.DB, len(init))
 	for v, val := range init {
 		d.table[v] = val
 	}
@@ -478,7 +453,7 @@ func (d *Disk) ctxOfLocked(tx int) *diskCtx {
 // getLocked reads v for tx: its own buffered write if any, else the table.
 func (d *Disk) getLocked(c *diskCtx, v core.Var) core.Value {
 	d.reads.Add(1)
-	if d.buffered && c != nil {
+	if c != nil {
 		for i := len(c.writes) - 1; i >= 0; i-- {
 			if c.writes[i].v == v {
 				return c.writes[i].val
@@ -488,21 +463,11 @@ func (d *Disk) getLocked(c *diskCtx, v core.Var) core.Value {
 	return d.table[v]
 }
 
-// putLocked stores scalar as v for tx: buffered mode accumulates in the
-// write set; eager mode logs an update record (redo+undo) and applies.
-func (d *Disk) putLocked(tx int, c *diskCtx, v core.Var, scalar core.Value) error {
+// putLocked buffers scalar as v in the transaction's write set; nothing
+// reaches the table or the log before Commit.
+func (d *Disk) putLocked(c *diskCtx, v core.Var, scalar core.Value) {
 	d.writes.Add(1)
-	if d.buffered {
-		c.writes = append(c.writes, walWrite{v: v, val: scalar})
-		return nil
-	}
-	old, existed := d.table[v]
-	if err := d.appendLocked(d.enc.encodeUpdate(tx, v, old, scalar, existed)); err != nil {
-		return err
-	}
-	d.table[v] = scalar
-	c.undo = append(c.undo, diskUndo{v: v, old: old, existed: existed})
-	return nil
+	c.writes = append(c.writes, walWrite{v: v, val: scalar})
 }
 
 // Get implements Backend.
@@ -512,12 +477,11 @@ func (d *Disk) Get(tx int, v core.Var) core.Value {
 	return d.getLocked(d.ctx[tx], v)
 }
 
-// Put implements Backend. Errors are sticky (Err); ApplyStep is the
-// error-propagating path the runtime uses.
+// Put implements Backend.
 func (d *Disk) Put(tx int, v core.Var, scalar core.Value) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.putLocked(tx, d.ctxOfLocked(tx), v, scalar)
+	d.putLocked(d.ctxOfLocked(tx), v, scalar)
 }
 
 // Scan implements Backend.
@@ -548,70 +512,43 @@ func (d *Disk) ApplyStep(tx int, step core.Step) error {
 	if step.Fn == nil {
 		return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
 	}
-	return d.putLocked(tx, c, step.Var, step.Fn(c.locals))
+	d.putLocked(c, step.Var, step.Fn(c.locals))
+	return nil
 }
 
 // Commit implements Backend. The commit record is the durability point:
-// buffered mode logs the write set and applies it only after the append
-// succeeded (atomic — a failed append commits nothing); eager mode logs a
-// bare commit record sealing the transaction's update records. Under
-// FsyncAlways the log is synced before Commit returns; under FsyncGroup
-// durability arrives at the next GroupSync.
+// it carries the write set, which is applied only after the append
+// succeeded (atomic — a failed append commits nothing). Under FsyncAlways
+// the log is synced before Commit returns; under FsyncGroup durability
+// arrives at the next GroupSync.
 func (d *Disk) Commit(tx int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	c := d.ctx[tx]
 	delete(d.ctx, tx)
-	if d.err != nil {
+	if d.err != nil || c == nil || len(c.writes) == 0 {
+		return // poisoned, or read-only: nothing to make durable
+	}
+	if err := d.appendLocked(d.enc.encodeCommit(tx, c.writes)); err != nil {
 		return
 	}
-	if d.buffered {
-		if c == nil || len(c.writes) == 0 {
-			return // read-only: nothing to make durable
-		}
-		if err := d.appendLocked(d.enc.encodeCommit(tx, c.writes)); err != nil {
-			return
-		}
-		for _, w := range c.writes {
-			d.table[w.v] = w.val
-		}
-	} else {
-		if c == nil || len(c.undo) == 0 {
-			return
-		}
-		if err := d.appendLocked(d.enc.encodeCommit(tx, nil)); err != nil {
-			return
-		}
+	for _, w := range c.writes {
+		d.table[w.v] = w.val
 	}
 	if d.policy == FsyncAlways {
 		d.syncLocked()
 	}
 }
 
-// Rollback implements Backend: buffered mode just discards the write set
-// (nothing reached the log); eager mode restores overwritten values in
-// reverse and appends an abort record so recovery undoes the same way.
+// Rollback implements Backend: it discards the write set — nothing of the
+// transaction reached the table or the log.
 func (d *Disk) Rollback(tx int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	c := d.ctx[tx]
-	delete(d.ctx, tx)
-	if c == nil {
-		return
+	if _, ok := d.ctx[tx]; ok {
+		delete(d.ctx, tx)
+		d.rollbacks.Add(1)
 	}
-	d.rollbacks.Add(1)
-	if d.buffered || len(c.undo) == 0 {
-		return
-	}
-	for i := len(c.undo) - 1; i >= 0; i-- {
-		u := c.undo[i]
-		if u.existed {
-			d.table[u.v] = u.old
-		} else {
-			delete(d.table, u.v)
-		}
-	}
-	d.appendLocked(d.enc.encodeAbort(tx))
 }
 
 // State implements Backend.

@@ -124,12 +124,6 @@ type Config struct {
 	// Fsync is when the disk backend forces its log to stable storage
 	// (default FsyncGroup: one fsync per group-commit drain).
 	Fsync FsyncPolicy
-	// Buffered selects write-buffered execution: uncommitted writes stay
-	// in a per-transaction buffer and reach the log only inside the
-	// commit record, which is what makes non-strict schedulers
-	// recoverable. Leave false for strict schedulers (eager writes with
-	// undo logging).
-	Buffered bool
 	// SegmentBytes seals the active log segment past this size
 	// (0 = 1 MiB).
 	SegmentBytes int

@@ -51,13 +51,14 @@ func TestDoubleOpenLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2.Reset(core.DB{"x": 1})
-	efs.FailAt(efs.Ops() + 1)
+	efs.FailAt(efs.Ops() + 1) // the commit record's write
 	step := core.Step{Var: "x", Kind: core.Write, Fn: func([]core.Value) core.Value { return 2 }}
-	if err := d2.ApplyStep(5, step); err == nil {
-		t.Fatal("armed fault did not fire")
+	if err := d2.ApplyStep(5, step); err != nil {
+		t.Fatal(err)
 	}
+	d2.Commit(5)
 	if d2.Err() == nil {
-		t.Fatal("store not poisoned")
+		t.Fatal("armed fault did not fire: store not poisoned")
 	}
 	r2, err := OpenDisk(Config{Dir: dir2})
 	if err != nil {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,39 +10,32 @@ import (
 	"optcc/internal/core"
 )
 
-// OpenDisk recovers a disk backend from the files in cfg.Dir, ARIES style
-// restricted to what this log needs:
+// OpenDisk recovers a disk backend from the files in cfg.Dir. The log is
+// redo-only — a transaction's writes reach it only inside its commit
+// record — so recovery is a pure replay:
 //
 //  1. Start from the newest complete checkpoint, if any (checkpoint.go):
-//     its snapshot record seeds the table and its update records seed the
-//     undo chains of the transactions that were live at the capture. A
-//     torn or incomplete checkpoint file — one whose scan is unclean or
-//     whose anchor segment is gone — is ignored and an older one (or the
-//     empty state) is used instead; checkpoint files share the WAL's
-//     framing and checksums precisely so this judgment is mechanical.
-//  2. Redo by history from the checkpoint's anchor — byte aoff of segment
-//     aseq, then every later segment in order; without a checkpoint, from
-//     the start of the oldest segment. Snapshot records reset the state;
-//     update records apply their redo value and join their transaction's
-//     undo chain; commit records apply a buffered write set (if any) and
-//     retire the chain; abort records undo the chain in reverse;
-//     checkpoint markers carry no state and are skipped. Segments wholly
-//     behind the anchor are leftovers of an interrupted retirement —
-//     their effects are inside the checkpoint — and are not replayed.
+//     its snapshot record seeds the table. A torn or incomplete checkpoint
+//     file — one whose scan is unclean or whose anchor segment is gone —
+//     is ignored and an older one (or the empty state) is used instead;
+//     checkpoint files share the WAL's framing and checksums precisely so
+//     this judgment is mechanical.
+//  2. Redo from the checkpoint's anchor — byte aoff of segment aseq, then
+//     every later segment in order; without a checkpoint, from the start
+//     of the oldest segment. Snapshot records reset the state; commit
+//     records apply their write set; checkpoint markers carry no state and
+//     are skipped. Segments wholly behind the anchor are leftovers of an
+//     interrupted retirement — their effects are inside the checkpoint —
+//     and are not replayed.
 //  3. Stop at the torn tail: the first incomplete frame, checksum
 //     mismatch, or undecodable payload ends the trusted prefix — that
 //     record and everything after it (including any later segments) is
 //     discarded and counted in WALTruncated. A torn commit record is
-//     therefore never admitted: its transaction is a loser.
-//  4. Undo the losers: transactions with a live undo chain at the end of
-//     the log never committed; their updates are reverted in reverse
-//     order. (Eager updates come only from strict schedulers, so live
-//     transactions never share a variable and per-transaction reverse
-//     undo is exact.) A chain seeded from the checkpoint undoes the same
-//     way even though its update records may live in retired segments —
-//     that is why checkpoints carry live chains. Buffered transactions
-//     need no undo: their writes only ever reach the log inside a commit
-//     record.
+//     therefore never admitted: its transaction never happened.
+//
+// A checksummed record of a retired kind (wal.go) in a replayed segment or
+// in the chosen checkpoint fails OpenDisk with errRetiredFormat before any
+// file is touched.
 //
 // The recovered state is then compacted: one snapshot record is written
 // to a fresh segment (via temp file + atomic rename, so a crash during
@@ -109,34 +103,31 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	// foreign file, not a protocol state.
 	var img *ckptImage
 	for i := len(ckpts) - 1; i >= 0 && img == nil; i-- {
-		if c, ok := loadCheckpoint(d.fs, d.dir, ckpts[i]); ok && hasSeg[c.aseq] {
+		c, err := loadCheckpoint(d.fs, d.dir, ckpts[i])
+		if errors.Is(err, errRetiredFormat) {
+			return fail(err)
+		}
+		if err == nil && hasSeg[c.aseq] {
 			img = c
 		}
 	}
 
-	table := make(map[core.Var]core.Value)
-	live := make(map[int][]diskUndo) // undo chains of not-yet-ended eager txs
-	truncated := false
+	table := make(core.DB)
+	truncated, retired := false, false
 	replayed := int64(0)
 	apply := func(r walRec) {
 		switch r.kind {
 		case walSnapshot:
-			table = make(map[core.Var]core.Value, len(r.writes))
+			table = make(core.DB, len(r.writes))
 			for _, w := range r.writes {
 				table[w.v] = w.val
 			}
-			live = make(map[int][]diskUndo)
-		case walUpdate:
-			live[r.tx] = append(live[r.tx], diskUndo{v: r.v, old: r.old, existed: r.existed})
-			table[r.v] = r.new
 		case walCommit:
 			for _, w := range r.writes {
 				table[w.v] = w.val
 			}
-			delete(live, r.tx)
-		case walAbort:
-			undoChain(table, live[r.tx])
-			delete(live, r.tx)
+		case walRetiredUpdate, walRetiredAbort:
+			retired = true
 		case walCkpt:
 			// Markers gate retirement; they carry no state to replay.
 		}
@@ -144,7 +135,7 @@ func OpenDisk(cfg Config) (*Disk, error) {
 
 	tail := segs
 	if img != nil {
-		table, live = img.table, img.live
+		table = img.table
 		replayed += int64(img.bytes)
 		tail = tail[:0:0]
 		for _, n := range segs {
@@ -172,13 +163,13 @@ func OpenDisk(cfg Config) (*Disk, error) {
 		}
 		valid, clean := walScan(data, apply)
 		replayed += int64(valid)
+		if retired {
+			return fail(fmt.Errorf("storage: recovery %s: %w", name, errRetiredFormat))
+		}
 		if !clean {
 			truncated = true
 			break // later segments are beyond the torn tail: discard
 		}
-	}
-	for _, chain := range live {
-		undoChain(table, chain)
 	}
 
 	// Compact: persist the recovered state as a snapshot segment, drop
@@ -192,11 +183,7 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	if err != nil {
 		return fail(fmt.Errorf("storage: recovery snapshot: %w", err))
 	}
-	db := make(core.DB, len(table))
-	for v, val := range table {
-		db[v] = val
-	}
-	frame := d.enc.encodeSnapshot(db)
+	frame := d.enc.encodeSnapshot(table)
 	if _, err := f.Write(frame); err != nil {
 		f.Close()
 		return fail(fmt.Errorf("storage: recovery snapshot write: %w", err))
@@ -235,77 +222,54 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	return d, nil
 }
 
-// ckptImage is a decoded checkpoint file: the captured table, the undo
-// chains of the transactions live at the capture, and the log anchor the
-// capture equals.
+// ckptImage is a decoded checkpoint file: the captured table and the log
+// anchor the capture equals.
 type ckptImage struct {
-	table map[core.Var]core.Value
-	live  map[int][]diskUndo
+	table core.DB
 	aseq  int
 	aoff  int64
 	bytes int
 }
 
-// loadCheckpoint reads and validates one checkpoint file: a clean scan
-// whose first record is the walCkpt header, followed by exactly one
-// snapshot and any number of live-chain update records. Anything else —
-// torn tail, wrong shape, unreadable — disqualifies the file; recovery
-// falls back to an older checkpoint or a full replay.
-func loadCheckpoint(fs FS, dir, name string) (*ckptImage, bool) {
+// loadCheckpoint reads and decodes one checkpoint file. Any error means
+// recovery must not use the file; errRetiredFormat additionally means it
+// must not fall back past it either.
+func loadCheckpoint(fs FS, dir, name string) (*ckptImage, error) {
 	data, err := fs.ReadFile(segPath(dir, name))
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	img := &ckptImage{
-		table: make(map[core.Var]core.Value),
-		live:  make(map[int][]diskUndo),
+	img, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("storage: checkpoint %s: %w", name, err)
 	}
-	first, sawSnap, wellFormed := true, false, true
-	valid, clean := walScan(data, func(r walRec) {
-		if first {
-			first = false
-			if r.kind != walCkpt {
-				wellFormed = false
-				return
-			}
-			img.aseq, img.aoff = r.aseq, r.aoff
-			return
-		}
-		switch r.kind {
-		case walSnapshot:
-			if sawSnap {
-				wellFormed = false
-				return
-			}
-			sawSnap = true
-			for _, w := range r.writes {
-				img.table[w.v] = w.val
-			}
-		case walUpdate:
-			// Live-chain entries: the redo value is already in the snapshot
-			// (the capture copied the table last-writer-wins), so applying it
-			// is a no-op; what matters is rebuilding the undo chain.
-			img.live[r.tx] = append(img.live[r.tx], diskUndo{v: r.v, old: r.old, existed: r.existed})
-			img.table[r.v] = r.new
-		default:
-			wellFormed = false
-		}
-	})
-	if !clean || first || !sawSnap || !wellFormed {
-		return nil, false
-	}
-	img.bytes = valid
-	return img, true
+	return img, nil
 }
 
-// undoChain reverts one transaction's eager updates, newest first.
-func undoChain(table map[core.Var]core.Value, chain []diskUndo) {
-	for i := len(chain) - 1; i >= 0; i-- {
-		u := chain[i]
-		if u.existed {
-			table[u.v] = u.old
-		} else {
-			delete(table, u.v)
+// decodeCheckpoint validates a checkpoint image: a clean scan of exactly
+// two records, the walCkpt header (with an anchor offset recovery can
+// slice at) and one snapshot. Anything else — torn tail, wrong shape —
+// disqualifies the file, and recovery falls back to an older checkpoint
+// or a full replay.
+func decodeCheckpoint(data []byte) (*ckptImage, error) {
+	var recs []walRec
+	valid, clean := walScan(data, func(r walRec) { recs = append(recs, r) })
+	for _, r := range recs {
+		if r.kind == walRetiredUpdate || r.kind == walRetiredAbort {
+			return nil, errRetiredFormat
 		}
 	}
+	if !clean || len(recs) != 2 || recs[0].kind != walCkpt || recs[0].aoff < 0 || recs[1].kind != walSnapshot {
+		return nil, errors.New("not a complete checkpoint")
+	}
+	img := &ckptImage{
+		table: make(core.DB, len(recs[1].writes)),
+		aseq:  recs[0].aseq,
+		aoff:  recs[0].aoff,
+		bytes: valid,
+	}
+	for _, w := range recs[1].writes {
+		img.table[w.v] = w.val
+	}
+	return img, nil
 }

@@ -106,7 +106,7 @@ func checkRecovered(t *testing.T, label, dir string, sys *core.System, synced []
 		case a == want && b == want:
 			committed = append(committed, i)
 		case a == 0 && b == 0:
-			// never committed (or fully undone) — fine
+			// never committed — fine
 		default:
 			t.Fatalf("%s: torn transaction %d visible after recovery: a=%d b=%d", label, i, a, b)
 		}
@@ -164,10 +164,10 @@ func checkRecovered(t *testing.T, label, dir string, sys *core.System, synced []
 
 // tortureOps runs the workload fault-free on an ErrFS and returns the
 // total countable operations — the size of the injection-point space.
-func tortureOps(t *testing.T, sys *core.System, buffered bool) int64 {
+func tortureOps(t *testing.T, sys *core.System) int64 {
 	t.Helper()
 	efs := NewErrFS(OSFS{})
-	d, err := NewDisk(Config{Dir: t.TempDir(), FS: efs, Fsync: FsyncAlways, Buffered: buffered})
+	d, err := NewDisk(Config{Dir: t.TempDir(), FS: efs, Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,35 +182,28 @@ func tortureOps(t *testing.T, sys *core.System, buffered bool) int64 {
 // TestCrashRecoveryEveryInjectionPoint is the exhaustive sweep: for every
 // operation index the workload performs, crash there (all later ops fail
 // with ErrCrashed, the crashing write persisting only a torn prefix) and
-// assert the recovery invariant. Both execution modes are swept — eager
-// (redo+undo update records) and write-buffered (commit-record-only).
+// assert the recovery invariant.
 func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
 	sys := tortureSystem(10)
-	for _, buffered := range []bool{false, true} {
-		mode := "eager"
-		if buffered {
-			mode = "buffered"
+	t.Run("buffered", func(t *testing.T) {
+		total := tortureOps(t, sys)
+		if total < int64(len(sys.Txs)) {
+			t.Fatalf("suspiciously few injection points: %d", total)
 		}
-		t.Run(mode, func(t *testing.T) {
-			total := tortureOps(t, sys, buffered)
-			if total < int64(len(sys.Txs)) {
-				t.Fatalf("suspiciously few injection points: %d", total)
+		for k := int64(1); k <= total; k++ {
+			dir := t.TempDir()
+			efs := NewErrFS(OSFS{})
+			d, err := NewDisk(Config{Dir: dir, FS: efs, Fsync: FsyncAlways})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for k := int64(1); k <= total; k++ {
-				dir := t.TempDir()
-				efs := NewErrFS(OSFS{})
-				d, err := NewDisk(Config{Dir: dir, FS: efs, Fsync: FsyncAlways, Buffered: buffered})
-				if err != nil {
-					t.Fatal(err)
-				}
-				efs.CrashAt(k)
-				d.Reset(tortureInit)
-				synced := runTortureWorkload(d, sys)
-				// No Close: the process "died". Recover from the real files.
-				checkRecovered(t, fmt.Sprintf("%s/crash@%d", mode, k), dir, sys, synced)
-			}
-		})
-	}
+			efs.CrashAt(k)
+			d.Reset(tortureInit)
+			synced := runTortureWorkload(d, sys)
+			// No Close: the process "died". Recover from the real files.
+			checkRecovered(t, fmt.Sprintf("crash@%d", k), dir, sys, synced)
+		}
+	})
 }
 
 // TestTransientFaultRecovery sweeps the one-shot injection points: a
@@ -219,34 +212,28 @@ func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
 // nothing synced is lost, nothing torn is admitted.
 func TestTransientFaultRecovery(t *testing.T) {
 	sys := tortureSystem(10)
-	for _, buffered := range []bool{false, true} {
-		mode := "eager"
-		if buffered {
-			mode = "buffered"
-		}
-		t.Run(mode, func(t *testing.T) {
-			total := tortureOps(t, sys, buffered)
-			for k := int64(1); k <= total; k += 3 { // sample a third of the space
-				for _, fault := range []string{"fail", "short"} {
-					dir := t.TempDir()
-					efs := NewErrFS(OSFS{})
-					d, err := NewDisk(Config{Dir: dir, FS: efs, Fsync: FsyncAlways, Buffered: buffered})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fault == "fail" {
-						efs.FailAt(k)
-					} else {
-						efs.ShortWriteAt(k)
-					}
-					d.Reset(tortureInit)
-					synced := runTortureWorkload(d, sys)
-					d.Close()
-					checkRecovered(t, fmt.Sprintf("%s/%s@%d", mode, fault, k), dir, sys, synced)
+	t.Run("buffered", func(t *testing.T) {
+		total := tortureOps(t, sys)
+		for k := int64(1); k <= total; k += 3 { // sample a third of the space
+			for _, fault := range []string{"fail", "short"} {
+				dir := t.TempDir()
+				efs := NewErrFS(OSFS{})
+				d, err := NewDisk(Config{Dir: dir, FS: efs, Fsync: FsyncAlways})
+				if err != nil {
+					t.Fatal(err)
 				}
+				if fault == "fail" {
+					efs.FailAt(k)
+				} else {
+					efs.ShortWriteAt(k)
+				}
+				d.Reset(tortureInit)
+				synced := runTortureWorkload(d, sys)
+				d.Close()
+				checkRecovered(t, fmt.Sprintf("%s@%d", fault, k), dir, sys, synced)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestWALTornTailRecovery truncates the tail of the active segment after a
@@ -637,8 +624,7 @@ func TestTortureChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("torture child body; driven by TestTortureKillRestart")
 	}
-	buffered := os.Getenv("OPTCC_TORTURE_BUFFERED") == "1"
-	cfg := Config{Dir: dir, Fsync: FsyncAlways, Buffered: buffered}
+	cfg := Config{Dir: dir, Fsync: FsyncAlways}
 	if os.Getenv("OPTCC_TORTURE_CKPT") == "1" {
 		// Tiny segments and an aggressive threshold keep the background
 		// checkpointer constantly mid-flight, so the parent's SIGKILL
@@ -681,8 +667,7 @@ func TestTortureChild(t *testing.T) {
 // — the child runs the background checkpointer on tiny segments), then
 // recover here and assert the invariant: the committed set is a gap-free
 // prefix that never shrinks, every value matches the serial replay, and
-// recovery converges in ≤ 2 passes. Execution mode alternates between
-// eager and write-buffered per round.
+// recovery converges in ≤ 2 passes.
 func TestTortureKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess torture loop; skipped with -short")
@@ -706,7 +691,6 @@ func TestTortureKillRestart(t *testing.T) {
 		}
 		cmd := exec.Command(os.Args[0], "-test.run", "TestTortureChild$")
 		cmd.Env = append(os.Environ(), childEnvDir+"="+dir,
-			fmt.Sprintf("OPTCC_TORTURE_BUFFERED=%d", round%2),
 			fmt.Sprintf("OPTCC_TORTURE_CKPT=%d", ckpt))
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)

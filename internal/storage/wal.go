@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -18,27 +19,36 @@ import (
 // valid prefix of the segment, and everything after it is discarded. Record
 // contents use varints, so the log stays compact for small transactions.
 //
-// Record kinds (DESIGN.md "Durability"):
+// Record kinds (DESIGN.md "Durability"); the log is redo-only:
 //
-//	walUpdate   tx, var, old, new       eager write: redo (new) + undo (old)
-//	walCommit   tx, n, (var, new)×n     commit point; n>0 carries a buffered
-//	                                    transaction's write set (redo-only)
-//	walAbort    tx                      abort point: undo tx's walUpdates
-//	walSnapshot n, (var, val)×n         full-state checkpoint; resets the
-//	                                    recovered state and clears live txs
+//	walCommit   tx, n, (var, new)×n     commit point carrying the
+//	                                    transaction's write set
+//	walSnapshot n, (var, val)×n         full-state snapshot; resets the
+//	                                    recovered state
 //	walCkpt     ckpt, aseq, aoff        fuzzy-checkpoint marker: checkpoint
 //	                                    file ckpt is complete and anchored at
 //	                                    byte aoff of segment aseq; every
 //	                                    segment < aseq is retirement-eligible.
 //	                                    Doubles as the header record inside
 //	                                    the checkpoint file itself.
+//
+// Kinds 1 and 3 were the update (redo+undo) and abort records of a retired
+// eager execution mode. They keep their numbers so the live kinds keep
+// theirs, and a checksummed record of either kind is reported by name
+// (errRetiredFormat) rather than mistaken for a torn tail.
 const (
-	walUpdate byte = iota + 1
+	walRetiredUpdate byte = iota + 1
 	walCommit
-	walAbort
+	walRetiredAbort
 	walSnapshot
 	walCkpt
 )
+
+// errRetiredFormat is how recovery refuses a log or checkpoint holding a
+// record of a retired kind: replaying it redo-only would silently apply
+// uncommitted eager writes, and truncating at it would discard the
+// committed log behind it.
+var errRetiredFormat = errors.New("storage: log holds eager-mode (redo+undo) update/abort records, a retired format this build cannot recover")
 
 // walHeaderSize is the fixed frame prefix: length + checksum.
 const walHeaderSize = 8
@@ -48,7 +58,7 @@ const walHeaderSize = 8
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // walWrite is one (variable, value) pair inside a commit or snapshot
-// record, or the redo half of an update record.
+// record.
 type walWrite struct {
 	v   core.Var
 	val core.Value
@@ -56,16 +66,12 @@ type walWrite struct {
 
 // walRec is a decoded record.
 type walRec struct {
-	kind    byte
-	tx      int
-	v       core.Var   // walUpdate
-	old     core.Value // walUpdate: undo value
-	new     core.Value // walUpdate: redo value
-	existed bool       // walUpdate: v existed before (undo restores vs deletes)
-	writes  []walWrite // walCommit (buffered), walSnapshot
-	ckpt    int        // walCkpt: checkpoint file sequence number
-	aseq    int        // walCkpt: anchor segment
-	aoff    int64      // walCkpt: anchor byte offset within aseq
+	kind   byte
+	tx     int
+	writes []walWrite // walCommit, walSnapshot
+	ckpt   int        // walCkpt: checkpoint file sequence number
+	aseq   int        // walCkpt: anchor segment
+	aoff   int64      // walCkpt: anchor byte offset within aseq
 }
 
 // walEncoder frames records into a reusable buffer. Not safe for
@@ -101,25 +107,8 @@ func (e *walEncoder) putVar(v core.Var) {
 	e.buf = append(e.buf, v...)
 }
 
-// encodeUpdate frames an eager-write record: redo value plus the
-// overwritten value (and whether the variable existed) for undo.
-func (e *walEncoder) encodeUpdate(tx int, v core.Var, old, new core.Value, existed bool) []byte {
-	e.reset()
-	e.buf = append(e.buf, walUpdate)
-	e.putUvarint(uint64(tx))
-	e.putVar(v)
-	e.putVarint(int64(old))
-	e.putVarint(int64(new))
-	if existed {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-	return e.seal()
-}
-
-// encodeCommit frames a commit record; writes carries a buffered
-// transaction's write set (nil/empty for eagerly-applied transactions).
+// encodeCommit frames a commit record carrying the transaction's write
+// set.
 func (e *walEncoder) encodeCommit(tx int, writes []walWrite) []byte {
 	e.reset()
 	e.buf = append(e.buf, walCommit)
@@ -129,14 +118,6 @@ func (e *walEncoder) encodeCommit(tx int, writes []walWrite) []byte {
 		e.putVar(w.v)
 		e.putVarint(int64(w.val))
 	}
-	return e.seal()
-}
-
-// encodeAbort frames an abort record.
-func (e *walEncoder) encodeAbort(tx int) []byte {
-	e.reset()
-	e.buf = append(e.buf, walAbort)
-	e.putUvarint(uint64(tx))
 	return e.seal()
 }
 
@@ -174,12 +155,9 @@ func walDecode(payload []byte) (walRec, error) {
 	r.kind = payload[0]
 	d := walDecoder{b: payload[1:]}
 	switch r.kind {
-	case walUpdate:
-		r.tx = int(d.uvarint())
-		r.v = d.variable()
-		r.old = core.Value(d.varint())
-		r.new = core.Value(d.varint())
-		r.existed = d.byte() != 0
+	case walRetiredUpdate, walRetiredAbort:
+		// Named, not decoded: the consumer refuses the file
+		// (errRetiredFormat).
 	case walCommit:
 		r.tx = int(d.uvarint())
 		n := d.uvarint()
@@ -191,8 +169,6 @@ func walDecode(payload []byte) (walRec, error) {
 			w.val = core.Value(d.varint())
 			r.writes = append(r.writes, w)
 		}
-	case walAbort:
-		r.tx = int(d.uvarint())
 	case walCkpt:
 		r.ckpt = int(d.uvarint())
 		r.aseq = int(d.uvarint())
@@ -248,19 +224,6 @@ func (d *walDecoder) varint() int64 {
 	return x
 }
 
-func (d *walDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) == 0 {
-		d.err = fmt.Errorf("wal: truncated flag byte")
-		return 0
-	}
-	c := d.b[0]
-	d.b = d.b[1:]
-	return c
-}
-
 func (d *walDecoder) variable() core.Var {
 	n := d.uvarint()
 	if d.err != nil {
@@ -280,7 +243,9 @@ func (d *walDecoder) variable() core.Var {
 // segment ended cleanly: valid < len(data) means a torn or corrupt tail —
 // an incomplete frame, a checksum mismatch, or an undecodable payload —
 // and scanning stops at the last record that checked out, which is exactly
-// the prefix recovery may trust.
+// the prefix recovery may trust. A checksummed record of a retired kind is
+// not a tear: it reaches fn like any other record, and the consumer
+// refuses the file.
 func walScan(data []byte, fn func(walRec)) (valid int, clean bool) {
 	off := 0
 	for off < len(data) {
