@@ -5,7 +5,7 @@ GO ?= go
 
 # PR numbers the bench-json snapshot; bump it (or pass PR=<n>) so each PR
 # that touches the engine writes its own BENCH_PR<n>.json.
-PR ?= 13
+PR ?= 14
 
 # The extended vet set: standalone `go vet` runs its full analyzer
 # registry (atomic, copylocks, loopclosure, lostcancel, unsafeptr,

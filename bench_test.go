@@ -290,11 +290,11 @@ func BenchmarkSchedulerDecisionLatency(b *testing.B) {
 
 // BenchmarkShardedVsCentral is the scalability acceptance benchmark: the
 // same low-contention multi-user workload through the paper's single
-// central scheduler — strict 2PL behind one lock (Mutexed) on one dispatch
-// loop — versus the sharded concurrent engine at 1, 4 and 16 shards.
-// Sharded throughput should sit strictly above the mutexed baseline (and
-// rise with shard count) because users only contend on the dispatch loops
-// and lock-table shards their steps touch.
+// central scheduler — strict 2PL behind one lock (Mutexed) as one shard —
+// versus the sharded concurrent engine at 1, 4 and 16 shards. Sharded
+// throughput should sit strictly above the mutexed baseline (and rise with
+// shard count) because users only contend on the decision mutexes and
+// lock-table shards their steps touch.
 func BenchmarkShardedVsCentral(b *testing.B) {
 	const jobs = 64
 	template := workload.Random(workload.RandomConfig{
@@ -408,19 +408,14 @@ func BenchmarkBackendShardedVsCentral(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedVsUnbatched is the batching acceptance benchmark: a
-// hot-shard multi-user workload with real storage through the sharded
-// runtime, unbatched (batch=1: one decision per dispatch iteration, inline
-// commit) versus batched intake + group commit. The workload is the
-// loop-contention flavor of hot shard (workload.HotShardDisjoint): every
-// request of 48 users lands on the one dispatch loop owning the variables,
-// while the lock table sees no conflicts — so run time measures dispatch
-// overhead, exactly what batching amortizes (one channel wakeup, one
-// shard-mutex acquisition, one retry scan per batch, and per-group lock
-// release). Batched sits consistently (~5–20%) above unbatched even on a
-// single-core box; on the lock-contended hot shard (E10's first regime)
-// run time is dominated by waiting, which batching does not change, so the
-// ordering there is machine-noise territory.
+// BenchmarkBatchedVsUnbatched runs a hot-shard multi-user workload with
+// real storage through the sharded runtime at batch 1 and at larger
+// parked-retry caps. The workload is the decision-contention flavor of hot
+// shard (workload.HotShardDisjoint): every request of 48 users lands on the
+// one shard owning the variables, while the lock table sees no conflicts.
+// Users decide their own requests, so nothing parks here and the rows
+// should sit within noise of each other; the batch cap only matters where
+// requests park (E10's lock-contended regime).
 func BenchmarkBatchedVsUnbatched(b *testing.B) {
 	const (
 		jobs   = 64

@@ -97,7 +97,7 @@ func main() {
 		listFlag    = flag.Bool("list", false, "list experiment ids and exit")
 		shardsFlag  = flag.String("shards", "", "comma-separated shard counts for the E8/E10/E11/E15 sweeps (E8 default 1,4,16; E10 default 4; E11/E15 default 1,4)")
 		usersFlag   = flag.String("users", "", "comma-separated user counts for the E8/E10 sweeps (E8 default 4,8; E10 default 16,48); the first entry also sets E11/E15's users")
-		batchFlag   = flag.String("batch", "", "comma-separated batch sizes for the E10 batched-dispatch sweep (default 1,8,32)")
+		batchFlag   = flag.String("batch", "", "comma-separated batch sizes (max parked requests per retry critical section) for the E10 sweep (default 1,8,32)")
 		stripesFlag = flag.Int("railstripes", 0, "ordering-rail stripe count for the E11/E15 sweeps (0 = one per shard)")
 		fracFlag    = flag.String("readfrac", "", "comma-separated read fractions for the E12 multiversion sweep (default 0.5,0.9,0.99)")
 		fsyncFlag   = flag.String("fsync", "", "comma-separated fsync policies for the E13 durable-commit sweep (always|group|never; default always,group,never)")

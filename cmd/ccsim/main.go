@@ -18,14 +18,15 @@
 //	ccsim -workload banking -sched 2pl-woundwait -backend disk -dir /tmp/ccwal -fsync always
 //	ccsim -workload disjoint -sched 2pl-woundwait -shards 4 -backend disk -checkpoint 262144
 //
-// Every run uses the dispatch runtime. -shards 0 (default) keeps the
-// paper's single scheduler: the plain single-threaded scheduler behind one
-// lock (online.Mutexed) on one dispatch loop; -shards N >= 1 runs the
-// concurrent engine: per-shard dispatch loops over hash-partitioned
-// scheduler state. -sched cto / cto-thomas select the natively concurrent
-// timestamp-ordering scheduler (lock-free sharded atomic timestamp table,
-// no shard mutexes, no ordering rail); it always runs on the dispatch
-// loops. -sched mv selects the multiversion/optimistic
+// Every run uses the one runtime: each user decides its own step requests
+// under the decision mutex of the shard owning the step's variable, and a
+// per-shard dispatch loop retries parked requests. -shards 0 (default)
+// keeps the paper's single scheduler: the plain single-threaded scheduler
+// behind one lock (online.Mutexed) as one shard; -shards N >= 1 runs the
+// concurrent engine over hash-partitioned scheduler state. -sched cto /
+// cto-thomas select the natively concurrent timestamp-ordering scheduler
+// (lock-free sharded atomic timestamp table, no shard mutexes, no ordering
+// rail); it is always sharded. -sched mv selects the multiversion/optimistic
 // scheduler (write claims with first-writer-wins over the same timestamp
 // table); with the kv backend's version chains, read-only transactions are
 // served from pinned lock-free storage snapshots and never enter the grant
@@ -33,8 +34,8 @@
 // serialization-graph scheduler (striped union-find component graph,
 // lock-free zero-conflict grants; abort-on-cycle and delay-on-cycle) and
 // -sched cocc the natively concurrent optimistic scheduler (epoch-based
-// backward validation, no global critical section); like cto they always
-// run on the dispatch loops. For single-threaded schedulers behind the Sharded
+// backward validation, no global critical section); like cto they are
+// always sharded. For single-threaded schedulers behind the Sharded
 // combinator, -railstripes sets how many lock stripes the cross-shard
 // ordering rail is partitioned into (0 = one per shard; 1 = the
 // single-mutex degenerate).
@@ -43,13 +44,12 @@
 // the jobs are read-only (all-Read), the rest increment writers, all
 // skewed onto a small hot set — the E12 regime.
 //
-// -batch N > 1 turns on batched dispatch: each loop drains up to N queued
-// requests (the bound adapts between 1 and N by observed backlog — AIMD —
-// so N is a cap) and decides them in one scheduler critical section.
+// -batch N caps how many parked requests one retry of a shard's parked
+// queue decides in one scheduler critical section (default 1: one at a
+// time); fresh requests are always decided one by one by their users.
 // Commits always flow through the storage group-commit pipeline (undo logs
 // discarded and locks released per group, asynchronously to the committing
-// users); with -batch 1 (default, the unbatched runtime) the groups are
-// mostly singletons.
+// users); groups grow with the number of concurrently committing users.
 //
 // -backend kv executes every granted step against the sharded in-memory
 // storage backend (payload size -valuesize) instead of only sleeping -exec:
@@ -63,8 +63,7 @@
 // checksummed segments in -dir, a fresh temporary directory by default,
 // removed after the run; a named -dir persists and is reported). -fsync
 // picks the durability policy: always (one fsync per commit), group (one
-// per drained commit group — pair with -batch and -shards to grow the
-// groups), never (leave flushing to the OS). Every scheduler runs
+// per drained commit group — more -users grow the groups), never (leave flushing to the OS). Every scheduler runs
 // write-buffered: uncommitted writes never reach the log, which stays
 // redo-only — that is what makes non-strict schedulers recoverable (see
 // internal/storage).
@@ -128,15 +127,15 @@ func schedulerFactory(name string) (factory func() online.Scheduler, policy lock
 
 // schedulerByName builds the scheduler. shards == 0 returns the plain
 // single-threaded scheduler, which sim.Run wraps in online.Mutexed (one
-// lock, one dispatch loop); shards >= 1 selects the concurrent engine with
-// per-shard dispatch loops — natively sharded strict 2PL for the 2PL
+// lock, one shard); shards >= 1 selects the concurrent engine with
+// per-shard decision mutexes — natively sharded strict 2PL for the 2PL
 // family, native timestamp ordering for cto/cto-thomas, the native
 // serialization graph for csgt/csgt-delay, native optimistic validation
 // for cocc, and the Sharded combinator (with the striped cross-shard
 // ordering rail, railStripes wide; 0 = as wide as the shard count) for
 // everything else. The natively
-// concurrent schedulers (cto, mv, csgt, cocc) always run on the dispatch
-// loops, so -shards 0 behaves as one shard.
+// concurrent schedulers (cto, mv, csgt, cocc) are always sharded, so
+// -shards 0 behaves as one shard.
 func schedulerByName(name string, shards, railStripes int) (online.Scheduler, bool) {
 	switch name {
 	case "cto":
@@ -215,7 +214,7 @@ func main() {
 		users     = flag.Int("users", 8, "concurrent user goroutines")
 		shards    = flag.Int("shards", 0, "shard count for the concurrent engine (0 = one scheduler behind one lock)")
 		stripes   = flag.Int("railstripes", 0, "lock stripes of the cross-shard ordering rail (0 = one per shard)")
-		batchSz   = flag.Int("batch", 1, "max requests decided per dispatch critical section (an adaptive cap)")
+		batchSz   = flag.Int("batch", 1, "max parked requests one retry decides in one scheduler critical section")
 		backend   = flag.String("backend", "none", "storage backend executing granted steps (none|kv|noop|disk)")
 		valueSize = flag.Int("valuesize", 256, "payload bytes per stored record (kv backend)")
 		dir       = flag.String("dir", "", "WAL directory for the disk backend (empty = fresh temp dir, removed after the run)")

@@ -22,9 +22,10 @@
 //	                     KV store (copy-on-write records, checksummed payloads,
 //	                     per-transaction undo logs for abort rollback)
 //	internal/sim         goroutine-per-user simulator of the Section 6 environment:
-//	                     per-shard dispatch loops for every scheduler (plain ones
-//	                     behind one lock, as Mutexed), executing granted steps
-//	                     against the storage backend
+//	                     users decide their own steps under per-shard decision
+//	                     mutexes for every scheduler (plain ones behind one lock,
+//	                     as Mutexed), executing granted steps against the
+//	                     storage backend
 //	internal/workload    canonical systems (banking, Figure 1, …), generators and
 //	                     payload sizers
 //	internal/experiments every experiment of DESIGN.md / EXPERIMENTS.md

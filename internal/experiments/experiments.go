@@ -724,8 +724,8 @@ var E8Config = struct {
 }{Jobs: 32, Users: []int{4, 8}, Shards: []int{1, 4, 16}}
 
 // E8ShardScalability measures the sharded scheduling runtime: throughput of
-// the Mutexed strict 2PL baseline (one dispatch loop, every decision behind
-// one lock) against the sharded engine (per-shard dispatch loops over the
+// the Mutexed strict 2PL baseline (one shard, every decision behind one
+// lock) against the sharded engine (per-shard decision mutexes over the
 // partitioned lock table) across shard count × user count × contention
 // regime.
 func E8ShardScalability() (*Result, error) {
@@ -739,8 +739,8 @@ func e8WithScale(jobs int, userSweep, shardSweep []int) (*Result, error) {
 	res := &Result{
 		ID:    "E8",
 		Title: "Sharded scheduling runtime — throughput vs shard count × users × contention",
-		Text: "mutexed = one dispatch loop, every decision behind one lock (Section 6 funnel); " +
-			"2pl-sharded(n) = per-shard dispatch loops over an n-shard lock table.",
+		Text: "mutexed = one shard, every decision behind one lock (Section 6 funnel); " +
+			"2pl-sharded(n) = per-shard decision mutexes over an n-shard lock table.",
 	}
 	regimes := []struct {
 		name     string
@@ -887,18 +887,20 @@ var E10Config = struct {
 	Backend string
 }{Jobs: 64, Users: []int{16, 48}, Shards: []int{4}, Batches: []int{1, 8, 32}, Backend: "kv"}
 
-// E10BatchedDispatch measures batch intake + group commit on the sharded
-// runtime over batch size × users × shards, with real storage execution,
-// on the two hot-shard regimes: lock-contended (workload.HotShard — every
-// transaction hammers one hot variable pair, so run time is dominated by
-// waiting and aborts, which batching leaves untouched) and loop-contended
-// (workload.HotShardDisjoint — all traffic on one dispatch loop but no
-// lock conflicts, so run time is dispatch overhead, exactly what batching
-// amortizes; this is where batch > 1 pulls ahead). Batch 1 is the
-// unbatched PR 1/PR 2 runtime; larger batches decide whole intake queues
-// in one scheduler critical section and commit through the group-commit
-// pipeline. Every run self-checks the replay invariant: the committed
-// backend state must equal core.Exec of the committed schedule.
+// E10BatchedDispatch measures batched parked retries + group commit on the
+// sharded runtime over batch size × users × shards, with real storage
+// execution, on the two hot-shard regimes: lock-contended
+// (workload.HotShard — every transaction hammers one hot variable pair, so
+// run time is dominated by waiting and aborts, and the parked queues are
+// long) and loop-contended (workload.HotShardDisjoint — all traffic on one
+// shard's decision mutex but no lock conflicts, so run time is decision
+// overhead). Users decide their own fresh requests one at a time; the
+// batch size caps how many parked requests one retry offers the scheduler
+// in one critical section. Every run commits through the group-commit
+// pipeline and self-checks the replay invariant: the committed backend
+// state must equal core.Exec of the committed schedule. The table titles
+// predate the user-side decisions and are kept so snapshots stay
+// comparable.
 func E10BatchedDispatch() (*Result, error) {
 	return e10WithScale(E10Config.Jobs, E10Config.Users, E10Config.Shards, E10Config.Batches, E10Config.Backend)
 }
@@ -912,11 +914,11 @@ func e10WithScale(jobs int, userSweep, shardSweep, batchSweep []int, backendName
 	res := &Result{
 		ID:    "E10",
 		Title: "Batched dispatch + group commit — throughput vs batch size × users × shards (hot-shard regimes)",
-		Text: "batch=1 is the unbatched runtime (one decision per dispatch iteration, inline commit); " +
-			"batch>1 coalesces intake into one critical section per batch and commits through the " +
-			"per-lane group-commit pipeline (async lock release). The lock-contended regime is " +
-			"wait-dominated (batching changes little); the loop-contended regime isolates dispatch " +
-			"overhead, where batching wins.",
+		Text: "users decide their own requests under the owning shard's decision mutex; batch caps " +
+			"how many parked requests one retry decides in one critical section (batch=1: one at a " +
+			"time). Every cell commits through the per-lane group-commit pipeline (async lock " +
+			"release). The lock-contended regime is wait-dominated and builds parked queues; the " +
+			"loop-contended regime has no lock conflicts, so nothing parks and batch size cannot matter.",
 	}
 	for _, shards := range shardSweep {
 		regimes := []struct {

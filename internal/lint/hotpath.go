@@ -229,6 +229,11 @@ func checkHotpathCall(pass *analysis.Pass, report func(token.Pos, string, ...any
 	if pass.Shared.HotpathFuncs[callee] {
 		return
 	}
+	// A call to a generic function or a method of a generic type resolves
+	// to its instantiation; the annotation sits on the declaration.
+	if fn, ok := callee.(*types.Func); ok && pass.Shared.HotpathFuncs[fn.Origin()] {
+		return
+	}
 	if fn, ok := callee.(*types.Func); ok {
 		if fn.Pkg() == nil {
 			return // universe scope (error.Error etc.) — no alloc

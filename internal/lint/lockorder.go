@@ -24,6 +24,10 @@ import (
 //     mid-fsync); kvShard.freeMu never nests with itself (the *Locked
 //     naming convention), and commitLane.mu never nests across lanes, with
 //     GroupCommitter.errMu innermost.
+//   - sim: a shard's decision mutex (shardState.dmu) is outermost and never
+//     nests with another shard's — a user deciding its request, or a
+//     dispatch loop retrying parked ones, holds exactly one — and the
+//     parked-queue mutex shardState.mu nests inside it.
 //
 // The check is a source-order scan per function: Lock/RLock pushes the
 // receiver's lock class, Unlock/RUnlock pops it (a deferred unlock holds to
@@ -76,6 +80,8 @@ var lockClasses = map[string]*lockClass{
 	"commitLane.mu":        {key: "commitLane.mu", domain: "groupcommit", rank: 10, multi: true},
 	"GroupCommitter.errMu": {key: "GroupCommitter.errMu", domain: "groupcommit", rank: 20},
 	"kvShard.freeMu":       {key: "kvShard.freeMu", domain: "kv", rank: 10, multi: true},
+	"shardState.dmu":       {key: "shardState.dmu", domain: "sim", rank: 10, multi: true},
+	"shardState.mu":        {key: "shardState.mu", domain: "sim", rank: 20, multi: true},
 }
 
 // lockCallKind classifies a call as a Lock or Unlock on a tracked class.

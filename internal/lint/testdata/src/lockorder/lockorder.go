@@ -100,3 +100,34 @@ func (d *Disk) lockInLoopNoUnlock(n int) {
 		d.n++
 	}
 }
+
+type shardState struct {
+	dmu    sync.Mutex
+	mu     sync.Mutex
+	parked []int
+}
+
+// dmuUnderParked takes a shard's decision mutex while holding its parked
+// queue mutex: dmu is the outer lock of the sim domain.
+func dmuUnderParked(ss *shardState) {
+	ss.mu.Lock()
+	ss.dmu.Lock() // want "shardState.dmu acquired while shardState.mu is held"
+	ss.dmu.Unlock()
+	ss.mu.Unlock()
+}
+
+// twoDecisionMutexes holds one shard's dmu while deciding on another.
+func twoDecisionMutexes(shards []*shardState, a, b int) {
+	shards[a].dmu.Lock()
+	shards[b].dmu.Lock() // want "second shardState.dmu acquired while one is held"
+	shards[b].dmu.Unlock()
+	shards[a].dmu.Unlock()
+}
+
+// lockAllDecisions takes every shard's dmu in a loop: no ordered
+// multi-acquisition is documented for the class.
+func lockAllDecisions(shards []*shardState) {
+	for _, ss := range shards {
+		ss.dmu.Lock() // want "a loop acquires multiple shardState.dmu instances"
+	}
+}

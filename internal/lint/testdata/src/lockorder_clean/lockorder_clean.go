@@ -106,3 +106,31 @@ func (d *Disk) plainBackend() {
 	defer d.mu.Unlock()
 	d.n++
 }
+
+type shardState struct {
+	dmu    sync.Mutex
+	mu     sync.Mutex
+	parked []int
+}
+
+// decideAndPark is the user's decision shape: the parked queue mutex nests
+// inside the shard's decision mutex.
+func decideAndPark(ss *shardState, r int) {
+	ss.dmu.Lock()
+	ss.mu.Lock()
+	ss.parked = append(ss.parked, r)
+	ss.mu.Unlock()
+	ss.dmu.Unlock()
+}
+
+// scanParked is the deadlock breaker's shape: one shard's parked queue at a
+// time, without any decision mutex.
+func scanParked(shards []*shardState) int {
+	n := 0
+	for _, ss := range shards {
+		ss.mu.Lock()
+		n += len(ss.parked)
+		ss.mu.Unlock()
+	}
+	return n
+}

@@ -145,8 +145,11 @@ type Table struct {
 	policy Policy
 	locks  map[core.Var]*entry
 	// birth orders transactions for wound-wait/wait-die: smaller is older.
+	// A shard table of a ShardedTable keeps no map of its own: owner holds
+	// every transaction's birth, and the table reads it from there.
 	birth map[TxID]int64
 	clock int64
+	owner *ShardedTable
 	// held tracks, per transaction, the variables it holds (for
 	// ReleaseAll).
 	held map[TxID]map[core.Var]Mode
@@ -180,22 +183,24 @@ func (t *Table) Policy() Policy { return t.policy }
 // Re-registering an aborted transaction that restarts keeps its original
 // timestamp, which guarantees progress under wound-wait and wait-die.
 func (t *Table) Register(tx TxID) {
+	if t.owner != nil {
+		t.owner.Register(tx)
+		return
+	}
 	if _, ok := t.birth[tx]; !ok {
 		t.clock++
 		t.birth[tx] = t.clock
 	}
 }
 
-// RegisterAt registers the transaction with an externally assigned birth
-// timestamp. A sharded table uses it to keep wound-wait/wait-die priorities
-// consistent across its per-shard tables, which draw from one global clock.
-func (t *Table) RegisterAt(tx TxID, birth int64) {
-	if _, ok := t.birth[tx]; !ok {
-		t.birth[tx] = birth
-		if birth > t.clock {
-			t.clock = birth
-		}
+// birthOf returns tx's birth timestamp and whether tx is registered.
+func (t *Table) birthOf(tx TxID) (int64, bool) {
+	if t.owner != nil {
+		b := t.owner.birthOf(tx)
+		return b, b != 0
 	}
+	b, ok := t.birth[tx]
+	return b, ok
 }
 
 // AdoptHolder installs tx as a holder of v without going through Acquire.
@@ -226,7 +231,11 @@ func (t *Table) heldFor(tx TxID) map[core.Var]Mode {
 }
 
 // older reports whether a is older (higher priority) than b.
-func (t *Table) older(a, b TxID) bool { return t.birth[a] < t.birth[b] }
+func (t *Table) older(a, b TxID) bool {
+	ba, _ := t.birthOf(a)
+	bb, _ := t.birthOf(b)
+	return ba < bb
+}
 
 func (t *Table) entryFor(v core.Var) *entry {
 	e := t.locks[v]
@@ -268,7 +277,7 @@ func (t *Table) QueueLen(v core.Var) int {
 // registered. Re-acquiring a held lock in the same or weaker mode is a
 // no-op grant; requesting Exclusive while holding Shared is an upgrade.
 func (t *Table) Acquire(tx TxID, v core.Var, m Mode) Result {
-	if _, ok := t.birth[tx]; !ok {
+	if _, ok := t.birthOf(tx); !ok {
 		t.Register(tx)
 	}
 	e := t.entryFor(v)
@@ -581,7 +590,7 @@ func FindCycle(g map[TxID][]TxID) ([]TxID, bool) {
 func (t *Table) ChooseVictim(cycle []TxID) TxID {
 	victim := cycle[0]
 	for _, tx := range cycle[1:] {
-		if t.birth[tx] > t.birth[victim] {
+		if t.older(victim, tx) {
 			victim = tx
 		}
 	}

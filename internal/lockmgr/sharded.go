@@ -134,7 +134,9 @@ func NewShardedTable(policy Policy, shards int) *ShardedTable {
 	}
 	st := &ShardedTable{policy: policy, shards: make([]tableShard, shards)}
 	for i := range st.shards {
-		st.shards[i].t = NewTable(policy)
+		t := NewTable(policy)
+		t.birth, t.owner = nil, st
+		st.shards[i].t = t
 	}
 	return st
 }
@@ -187,26 +189,19 @@ func ShardOfVar(v core.Var, n int) int {
 }
 
 // Register assigns the transaction its birth timestamp from the global
-// clock and registers it with every shard. Re-registering keeps the
-// original timestamp, preserving wound-wait/wait-die progress guarantees.
+// clock. Re-registering keeps the original timestamp, preserving
+// wound-wait/wait-die progress guarantees. The per-shard tables read births
+// from here (Table.birthOf), so registering takes no shard mutex.
 func (s *ShardedTable) Register(tx TxID) {
-	birth := s.birthOf(tx)
-	if birth == 0 {
-		if s.reserved(tx) {
-			// Timestamps start at 1, so 0 is an unambiguous "unset"; the
-			// CAS keeps the first registration's timestamp under races.
-			s.birthArr[tx].CompareAndSwap(0, s.clock.Add(1))
-			birth = s.birthArr[tx].Load()
-		} else {
-			b, _ := s.birth.LoadOrStore(tx, s.clock.Add(1))
-			birth = b.(int64)
-		}
+	if s.birthOf(tx) != 0 {
+		return
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.t.RegisterAt(tx, birth)
-		sh.mu.Unlock()
+	if s.reserved(tx) {
+		// Timestamps start at 1, so 0 is an unambiguous "unset"; the CAS
+		// keeps the first registration's timestamp under races.
+		s.birthArr[tx].CompareAndSwap(0, s.clock.Add(1))
+	} else {
+		s.birth.LoadOrStore(tx, s.clock.Add(1))
 	}
 }
 
@@ -326,7 +321,7 @@ type BatchReq struct {
 // resolve exactly as they would sequentially (a later fast-path-eligible
 // request can never jump ahead of an earlier conflicting one) — but one
 // shard-mutex acquisition is shared across every consecutive run of
-// slow-path requests on the same shard. The batched dispatch loops in
+// slow-path requests on the same shard. The batched parked-queue retries in
 // internal/sim send same-shard batches, so the common case is at most one
 // mutex acquisition per batch, and all-fast-path batches take none.
 func (s *ShardedTable) AcquireBatch(reqs []BatchReq) []Result {
@@ -337,8 +332,8 @@ func (s *ShardedTable) AcquireBatch(reqs []BatchReq) []Result {
 // holding a reusable result buffer (online.ConcurrentStrict2PL keeps one
 // per shard) pays no per-batch allocation.
 func (s *ShardedTable) AcquireBatchInto(out []Result, reqs []BatchReq) []Result {
-	// Register up front: Register takes every shard mutex, so it must not
-	// run while the decide loop below holds one.
+	// Register up front, so every holder — fast-path ones included — has
+	// its age before any conflict below compares it.
 	for _, r := range reqs {
 		if s.birthOf(r.Tx) == 0 {
 			s.Register(r.Tx)

@@ -13,9 +13,10 @@ import "optcc/internal/core"
 // next unexecuted step of its transaction, exactly as in Try). For a
 // ConcurrentScheduler, concurrent TryBatch calls are allowed under the same
 // contract as Try: batches whose variables live on different shards may be
-// offered concurrently. The dispatch loops in internal/sim guarantee both
-// properties by construction — a loop coalesces at most one outstanding
-// request per user, all on its own shard.
+// offered concurrently. internal/sim guarantees both properties by
+// construction: a batch is a chunk of one shard's parked queue, which
+// holds at most one outstanding request per user, and it is decided under
+// that shard's decision mutex.
 type BatchTrier interface {
 	TryBatch(ids []core.StepID) []Decision
 }

@@ -21,8 +21,9 @@ type ConcurrentScheduler interface {
 	Scheduler
 	// NumShards returns the number of independent shards.
 	NumShards() int
-	// ShardOf returns the shard owning variable v. The simulator sends each
-	// step request to the dispatch loop of ShardOf(step.Var).
+	// ShardOf returns the shard owning variable v. The simulator decides
+	// each step request under the decision mutex of ShardOf(step.Var), so
+	// Try and TryBatch calls for the variables of one shard never overlap.
 	ShardOf(v core.Var) int
 }
 
@@ -75,7 +76,8 @@ func (m *Mutexed) Try(id core.StepID) Decision {
 // TryBatch implements BatchTrier: the whole batch is decided under one
 // mutex acquisition instead of one per request. The returned slice is the
 // wrapper's reusable scratch — valid until the next TryBatch, which is the
-// single dispatch loop's usage on this one-shard scheduler.
+// simulator's usage on this one-shard scheduler (its one decision mutex
+// is held until the decisions are consumed).
 func (m *Mutexed) TryBatch(ids []core.StepID) []Decision {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -464,7 +466,7 @@ func (s *Sharded) Victim(stuck []int) (int, bool) {
 }
 
 // Wounded implements Scheduler: collect and clear every shard's wounds.
-// The common call finds none (the dispatch loops poll after every decide),
+// The common call finds none (the simulator polls after every decision),
 // so the dedup set is allocated lazily — a wound-free poll allocates
 // nothing.
 func (s *Sharded) Wounded() []int {

@@ -10,7 +10,7 @@ import (
 
 // ConcurrentStrict2PL is strict two-phase locking on the sharded lock table:
 // a natively concurrent scheduler whose Try/Commit/Abort may be driven from
-// per-shard dispatch loops without external serialization. Lock state is
+// many goroutines at once without external serialization. Lock state is
 // hash-partitioned by variable (lockmgr.ShardedTable), uncontended exclusive
 // locks take the table's lock-free fast path, and deadlock detection runs on
 // the merged cross-shard waits-for graph.
@@ -27,7 +27,7 @@ type ConcurrentStrict2PL struct {
 	table *lockmgr.ShardedTable
 
 	// scratch holds one reusable TryBatch buffer set per shard. The
-	// dispatch loops send same-shard batches and concurrent TryBatch calls
+	// simulator sends same-shard batches and concurrent TryBatch calls
 	// must be on different shards (the BatchTrier contract), so indexing by
 	// the first id's shard gives every concurrent caller private scratch —
 	// the batch path allocates nothing in steady state.
@@ -104,14 +104,15 @@ func (s *ConcurrentStrict2PL) Try(id core.StepID) Decision {
 
 // TryBatch implements BatchTrier natively: the batch's lock requests go
 // through lockmgr.ShardedTable.AcquireBatchInto, which takes each shard
-// mutex at most once for the whole batch (the dispatch loops send
-// same-shard batches, so normally exactly once). Reentrant holds are
+// mutex at most once for the whole batch (the simulator sends same-shard
+// batches, so normally exactly once). Reentrant holds are
 // resolved by the table's fast-slot check and by Table.Acquire itself, so
 // the result is decision-for-decision equivalent to calling Try on each id
 // in order. The returned slice is the scratch of the first id's shard: it
 // stays valid until that shard's next TryBatch, which is exactly the
-// dispatch loops' usage (a loop consumes the decisions before its next
-// batch), and concurrent batches on other shards use their own scratch.
+// simulator's usage (it consumes the decisions before releasing the
+// shard's decision mutex), and concurrent batches on other shards use
+// their own scratch.
 func (s *ConcurrentStrict2PL) TryBatch(ids []core.StepID) []Decision {
 	sc := &s.scratch[s.ShardOf(s.sys.Step(ids[0]).Var)]
 	sc.reqs = sc.reqs[:0]

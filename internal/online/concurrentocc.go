@@ -77,7 +77,7 @@ func (st *coccTx) access(v core.Var) *coccAccess {
 //     v?" collapses to one monotone comparison: lastCommitWrite(v) >
 //     start.
 //   - per-variable writer-mark lists (marks.go), published copy-on-write
-//     by the variable's own dispatch loop and read lock-free by
+//     under the variable's shard decision mutex and read lock-free by
 //     validators: the dirty-read check (did I read a variable an active
 //     transaction had written?) scans the live marks of my read set.
 //   - per-transaction phase/epoch atomics. Commit publishing is ordered —
@@ -197,8 +197,9 @@ func (s *ConcurrentOCC) mark(st *coccTx, step core.Step, stamp int64, tx int, ep
 // publishWriter appends the incarnation's writer mark to the variable's
 // copy-on-write list, compacting dead and committed marks (committed
 // writers are covered by the commit stamps, published before their
-// committed phase). Only the variable's dispatch loop publishes, so a
-// plain pointer store suffices; validators load snapshots lock-free.
+// committed phase). Only the holder of the variable's shard decision mutex
+// publishes, so a plain pointer store suffices; validators load snapshots
+// lock-free.
 //
 //optcc:hotpath
 func (s *ConcurrentOCC) publishWriter(e *occEntry, tx int, epoch int64, stamp int64) {

@@ -29,10 +29,10 @@ func containsNode(list []railNode, n railNode) bool {
 //
 //   - Conflicts are discovered through per-variable marks (internal/online
 //     marks.go): each variable's entry lists the live incarnations that
-//     read and wrote it. The ConcurrentScheduler contract routes every
-//     step of a variable through its shard's dispatch loop, so the lists
-//     need no synchronization — the owning loop appends on grant and
-//     compacts dead incarnations on its next visit. The lists hold every
+//     read and wrote it. The ConcurrentScheduler contract serializes every
+//     step of a variable on its shard's decision mutex, so the lists need
+//     no synchronization of their own — the decider appends on grant and
+//     compacts dead incarnations on the variable's next visit. The lists hold every
 //     live reader/writer, not just the last ones: last-marks would lose
 //     transitive edges when an intermediate incarnation aborts and admit
 //     non-serializable schedules.

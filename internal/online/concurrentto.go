@@ -25,8 +25,8 @@ import (
 // the property ConcurrentStrict2PL exploits for locks, applied to
 // timestamps.
 //
-// Why lock-free is enough: the ConcurrentScheduler contract routes all
-// steps of one variable through the dispatch loop of its shard, so
+// Why lock-free is enough: the ConcurrentScheduler contract serializes all
+// steps of one variable on the decision mutex of its shard, so
 // check-then-raise sequences on a single variable's entry never interleave;
 // cross-variable and cross-shard traffic touches disjoint entries whose
 // CAS max-updates keep per-variable timestamps monotone (the tstable

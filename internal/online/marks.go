@@ -22,15 +22,16 @@ import (
 //
 //   - sgtEntry (ConcurrentSGT) keeps the variable's live reader and writer
 //     incarnation lists plus the source-collection scratch. These are
-//     plain slices with no synchronization at all: the
-//     ConcurrentScheduler contract routes every step of one variable
-//     through the dispatch loop of its shard, so the only goroutine that
-//     ever reads or mutates a variable's sgtEntry is that loop. Dead
+//     plain slices with no synchronization of their own: the
+//     ConcurrentScheduler contract serializes every step of one variable
+//     on the decision mutex of its shard, so a variable's sgtEntry is only
+//     ever read or mutated by the current holder of that mutex. Dead
 //     incarnations (aborted, or committed and pruned from the graph) are
-//     compacted out lazily by the same loop on its next visit.
+//     compacted out lazily on the variable's next visit.
 //   - occEntry (ConcurrentOCC) is read across shards by validators, so
 //     its writer-mark list is published copy-on-write through an atomic
-//     pointer: the owning dispatch loop builds a fresh slice (compacting
+//     pointer: the holder of the owning shard's decision mutex builds a
+//     fresh slice (compacting
 //     dead marks) and stores it; validators load a consistent snapshot
 //     lock-free. Marks of concurrently-validating peers that entered
 //     validation earlier are always visible in the snapshot — the mark
@@ -81,7 +82,7 @@ func (t *sgtMarks) entry(v core.Var) *sgtEntry {
 }
 
 // reset empties every mark list, preserving entry layout and slice
-// capacity. Only safe between runs (Begin), when no dispatch loop runs.
+// capacity. Only safe between runs (Begin), when nothing decides.
 func (t *sgtMarks) reset() {
 	for _, m := range t.shards {
 		for _, e := range m {

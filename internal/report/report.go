@@ -180,7 +180,7 @@ func (s *Stats) String() string {
 // Histogram stores raw observations and answers percentile queries
 // exactly. It is meant for simulation-scale data (≤ millions of points).
 type Histogram struct {
-	xs     []float64
+	xs     Chunks[float64]
 	sorted bool
 }
 
@@ -188,62 +188,56 @@ type Histogram struct {
 //
 //optcc:hotpath
 func (h *Histogram) Add(x float64) {
-	//cclint:ignore hotpath presized by Grow; overflow beyond the reservation falls back to amortized growth by design
-	h.xs = append(h.xs, x)
+	h.xs.Append(x)
 	h.sorted = false
 }
 
 // Grow ensures capacity for at least n further observations without
-// reallocating. The simulator presizes its per-request histograms with the
+// allocating. The simulator presizes its per-request histograms with the
 // run's expected sample count so steady-state Add calls never touch the
 // allocator (the zero-allocation hot-path invariant, DESIGN.md "Memory
 // discipline"); a run that overflows the reservation — restarts add extra
-// requests — just falls back to amortized append growth.
-func (h *Histogram) Grow(n int) {
-	if n <= 0 || cap(h.xs)-len(h.xs) >= n {
-		return
-	}
-	xs := make([]float64, len(h.xs), len(h.xs)+n)
-	copy(xs, h.xs)
-	h.xs = xs
-}
+// requests — spills into further chunks without copying the samples.
+func (h *Histogram) Grow(n int) { h.xs.Grow(n) }
 
 // N returns the number of observations.
-func (h *Histogram) N() int { return len(h.xs) }
+func (h *Histogram) N() int { return h.xs.Len() }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using
 // nearest-rank; it returns 0 for an empty histogram.
 func (h *Histogram) Percentile(p float64) float64 {
-	if len(h.xs) == 0 {
+	xs := h.xs.Flat()
+	if len(xs) == 0 {
 		return 0
 	}
 	if !h.sorted {
-		sort.Float64s(h.xs)
+		sort.Float64s(xs)
 		h.sorted = true
 	}
 	if p <= 0 {
-		return h.xs[0]
+		return xs[0]
 	}
 	if p >= 100 {
-		return h.xs[len(h.xs)-1]
+		return xs[len(xs)-1]
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(h.xs))))
+	rank := int(math.Ceil(p / 100 * float64(len(xs))))
 	if rank < 1 {
 		rank = 1
 	}
-	return h.xs[rank-1]
+	return xs[rank-1]
 }
 
 // Mean returns the mean of all observations.
 func (h *Histogram) Mean() float64 {
-	if len(h.xs) == 0 {
+	xs := h.xs.Flat()
+	if len(xs) == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, x := range h.xs {
+	for _, x := range xs {
 		sum += x
 	}
-	return sum / float64(len(h.xs))
+	return sum / float64(len(xs))
 }
 
 // Summary renders n, mean and the standard latency percentiles.

@@ -116,43 +116,6 @@ func TestStripedRailUnderDispatch(t *testing.T) {
 	}
 }
 
-// TestBatchSizerAIMD pins the adaptive controller's behavior: additive
-// growth while drains hit the bound, multiplicative shrink toward 1 as the
-// queue thins, and a hard cap.
-func TestBatchSizerAIMD(t *testing.T) {
-	s := newBatchSizer(8)
-	if s.bound() != 1 {
-		t.Fatalf("initial bound %d, want 1", s.bound())
-	}
-	for i := 0; i < 20; i++ {
-		s.observe(s.bound()) // saturated drains
-	}
-	if s.bound() != 8 {
-		t.Fatalf("bound after backlog %d, want cap 8", s.bound())
-	}
-	s.observe(3) // 3 <= 8/2: halve
-	if s.bound() != 4 {
-		t.Fatalf("bound after thin drain %d, want 4", s.bound())
-	}
-	s.observe(1)
-	s.observe(1)
-	if s.bound() != 1 {
-		t.Fatalf("bound after idle %d, want 1", s.bound())
-	}
-	s.observe(0)
-	if s.bound() != 1 {
-		t.Fatalf("bound regressed below 1: %d", s.bound())
-	}
-	one := newBatchSizer(1)
-	one.observe(1)
-	if one.bound() != 1 {
-		t.Fatal("cap 1 must stay scalar")
-	}
-	if newBatchSizer(0).bound() != 1 {
-		t.Fatal("cap 0 must clamp to 1")
-	}
-}
-
 // TestAdaptiveBatchHotShard is the satellite's regression test: with Batch
 // as a cap, the hot-shard workload (all traffic on one dispatch loop) must
 // still commit everything with the committed state equal to the committed

@@ -23,7 +23,8 @@ import (
 
 // TestOutputOnlyCommittedOnBudgetExhaustion runs an abort-heavy hot-shard
 // workload under no-wait with a single-restart budget, so some transactions
-// exhaust their budget with a rolled-back final attempt. Output must then
+// exhaust their budget with a rolled-back final attempt (each step sleeps
+// hotExecTime under its locks, so the transactions overlap and conflict). Output must then
 // contain exactly the committed transactions — whole and final-attempt only
 // — and replaying it must reproduce the committed backend state.
 func TestOutputOnlyCommittedOnBudgetExhaustion(t *testing.T) {
@@ -44,7 +45,7 @@ func TestOutputOnlyCommittedOnBudgetExhaustion(t *testing.T) {
 				be := storage.NewKV(storage.Config{Shards: 4, ValueSize: 32})
 				m, err := Run(Config{
 					System: inst, Sched: cfg.mk(), Backend: be,
-					Users: 6, Seed: seed, MaxRestarts: 1, Batch: cfg.batch,
+					Users: 6, Seed: seed, MaxRestarts: 1, Batch: cfg.batch, ExecTime: hotExecTime,
 				})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)

@@ -1,45 +1,48 @@
 // Sharded dispatch: the runtime behind Run, for every scheduler (a plain
-// one arrives wrapped in online.Mutexed, a single shard). Each shard runs
-// its own dispatch loop with its own request channel and parked queue; a
-// user's request goes to the loop of the shard owning the step's variable,
-// so users contend only on the shards their steps touch.
-// The Section 6 latency decomposition is unchanged: queueing + decision is
-// scheduling time, time parked is waiting time, step cost (real backend
-// work and/or the ExecTime knob) is execution time.
+// one arrives wrapped in online.Mutexed, a single shard). Each shard has a
+// decision mutex (dmu) and a queue of parked requests. A user goroutine
+// decides its own step request: it takes the dmu of the shard owning the
+// step's variable, asks the scheduler, and either proceeds with the grant or
+// parks the request and waits for its verdict. Users therefore contend
+// only on the shards their steps touch, and an undelayed step costs no
+// goroutine handoff at all.
+// The Section 6 latency decomposition is unchanged: queueing on dmu plus
+// the decision is scheduling time, time parked is waiting time, step cost
+// (real backend work and/or the ExecTime knob) is execution time.
 //
-// The dispatch loops only decide; they never execute. A granted step's real
-// work — the backend apply, the ExecTime sleep, and for the final step the
-// backend commit plus the scheduler commit — runs on the requesting user's
-// goroutine after the reply, so a slow step never serializes unrelated
-// grants on its shard. Aborts roll the backend back *before* the scheduler
-// releases the victim's locks (the victim is always parked or between its
-// own requests when aborted, so its rollback races with nothing of its
-// own).
+// A shard's decisions only ever run under its dmu, so per shard the
+// scheduler's decision order and the granted-step log's order agree, and
+// parking under the same dmu as the Try that delayed the request leaves no
+// window for a lost wakeup: whoever retries the parked queue next (the
+// shard's dispatch loop on a kick, or the next user deciding on the shard)
+// sees it. A granted step's real work — the backend apply, the ExecTime
+// sleep, and for the final step the backend commit plus the scheduler
+// commit — runs after dmu is released, so a slow step never serializes
+// unrelated decisions on its shard. Aborts roll the backend back *before*
+// the scheduler releases the victim's locks (the victim is always parked
+// or between its own requests when aborted, so its rollback races with
+// nothing of its own).
 //
-// Cross-shard blocking is resolved cooperatively: commits, aborts and
-// wounds kick every shard's loop to retry its parked requests, and a
-// deadlock breaker (triggered when every in-flight transaction is parked,
-// with a ticker as backstop) picks a victim through the scheduler's global
-// waits-for view. The breaker holds off while any commit is in flight on a
-// user goroutine — that commit is guaranteed to arrive and may unblock the
-// waiters for free.
+// The per-shard dispatch loops only retry parked requests. Commits, aborts
+// and wounds kick every shard's loop; a kicked loop takes its dmu and
+// re-offers the parked queue. A deadlock breaker (triggered when every
+// in-flight transaction is parked, with a ticker as backstop) picks a
+// victim through the scheduler's global waits-for view. The breaker holds
+// off while any commit is in flight on a user goroutine — that commit is
+// guaranteed to arrive and may unblock the waiters for free.
 //
-// Batching (Config.Batch > 1) amortizes the per-request overhead on hot
-// shards in two places. Intake coalescing: a dispatch loop drains up to
-// its current bound per select iteration — Config.Batch is a cap; the
-// bound itself adapts by AIMD on the observed backlog (batchSizer),
-// growing additively under load and halving toward 1 as the queue drains
-// — and decides the batch in one scheduler critical section
+// Lock order: shardState.dmu, then shardState.mu, then the run's
+// txMu/outMu/metMu. No goroutine holds two shards' dmu at once, and the
+// commit pipeline and step execution never run under a dmu.
+//
+// Config.Batch caps one parked-retry chunk: the retry scan offers up to
+// Batch parked requests to the scheduler in one critical section
 // (online.TryBatch — a single shard-mutex acquisition for the natively
-// batched schedulers), with the parked-retry scan reusing the same batch
-// path chunk by chunk. Group commit: finishing transactions enqueue into
-// a storage.GroupCommitter lane in both modes; the lane discards a whole
-// group's undo logs and releases their scheduler locks in one wakeup,
-// with a single kick of the dispatch loops per group (async lock release
-// — commit processing leaves the user goroutine entirely). With Batch <=
-// 1 the decision path is exactly the original one-request-per-iteration
-// runtime and commit groups are mostly singletons driven inline by their
-// own committer.
+// batched schedulers). Commits flow through a storage.GroupCommitter lane
+// in every configuration; the lane releases a whole group's scheduler
+// locks in one sweep, with a single kick of the dispatch loops per group
+// (async lock release — commit processing leaves the user goroutine
+// entirely once a lane has a driver).
 package sim
 
 import (
@@ -56,13 +59,15 @@ import (
 	"optcc/internal/storage"
 )
 
-// shardState is one dispatch loop's mailbox and parked queue, plus the
-// loop's reusable batch scratch. The scratch fields (verdicts, decided,
-// ids, idSlot, reqs) are only ever touched by the shard's own dispatch
-// goroutine — decideBatch and retryParked run there — so batched decisions
-// allocate nothing in steady state.
+// shardState is one shard's decision mutex, kick channel and parked queue,
+// plus the reusable batch scratch of its parked-retry scan. dmu serializes
+// every decision on the shard; mu (inner) guards parked, which the deadlock
+// breaker scans and edits without taking dmu. The scratch fields (verdicts,
+// decided, ids, idSlot, reqs) are only touched under dmu — decideBatch and
+// retryParked run there — so batched retries allocate nothing in steady
+// state.
 type shardState struct {
-	reqCh  chan request
+	dmu    sync.Mutex
 	kick   chan struct{}
 	mu     sync.Mutex
 	parked []request
@@ -91,8 +96,8 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 
 		outMu sync.Mutex
 		// output is presized to the conflict-free request count; restarts
-		// overflow into amortized append growth (cold path).
-		output = make([]online.Event, 0, sys.StepCount())
+		// overflow into further chunks without copying the log (cold path).
+		output report.Chunks[online.Event]
 
 		metMu sync.Mutex // guards the histograms and counters in m
 		errs  runErrors
@@ -105,6 +110,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 	for i := range attempts {
 		attempts[i] = 1
 	}
+	output.Grow(sys.StepCount())
 
 	// Read-only fast path: when the scheduler's semantics allow it
 	// (online.SnapshotSource) and the backend keeps version chains
@@ -142,7 +148,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 
 	shards := make([]*shardState, cs.NumShards())
 	for i := range shards {
-		shards[i] = &shardState{reqCh: make(chan request), kick: make(chan struct{}, 1)}
+		shards[i] = &shardState{kick: make(chan struct{}, 1)}
 	}
 	done := make(chan struct{})
 	breakCh := make(chan struct{}, 1)
@@ -205,70 +211,79 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		metMu.Unlock()
 	}
 
-	// decideBatch decides a chunk of requests (each from a distinct
-	// transaction, all on one shard) in one scheduler critical section.
-	// Wounded requesters abort before the batch is offered; the rest go
-	// through online.TryBatch — a single shard-mutex acquisition for the
-	// natively batched schedulers — and the per-request bookkeeping mirrors
-	// the one-request path exactly: grants of a final step only mark the
-	// transaction committed (the commit runs later, off the dispatch
-	// critical path), wounds are collected once after the batch and before
-	// any reply, and aborts trigger one kick for the whole batch. Verdicts
-	// are delivered to each decided request's reply channel; the returned
-	// slice marks which requests were decided (the rest park).
-	// decideOne is the scalar fast path for single-request chunks — the
-	// whole Batch <= 1 runtime runs through it. It mirrors decideBatch's
-	// bookkeeping exactly but allocates nothing (cs.Try instead of the
-	// batch contract, no per-call slices), keeping the default unbatched
-	// dispatch as cheap as it was before batching existed. It replies to
-	// the request when decided and reports whether it was.
-	decideOne := func(r request, wasParked bool) bool {
+	// offer runs before a request goes to the scheduler: a wounded
+	// requester is aborted instead (offer reports false), anyone else is
+	// marked in flight.
+	offer := func(tx int) bool {
 		txMu.Lock()
-		if woundedTx[r.tx] {
-			delete(woundedTx, r.tx)
+		if woundedTx[tx] {
+			delete(woundedTx, tx)
 			txMu.Unlock()
-			abortTx(r.tx)
-			kickAll()
-			r.reply <- verdict{aborted: true, parked: wasParked, decided: time.Now()}
-			return true
+			abortTx(tx)
+			return false
 		}
-		inFlight[r.tx] = true
+		inFlight[tx] = true
 		txMu.Unlock()
+		return true
+	}
+
+	// granted records a grant in the granted-step log. A grant of a final
+	// step only marks the transaction committed — the commit runs later,
+	// off the decision path — and granted reports it.
+	granted := func(r request) (last bool) {
+		last = r.idx == len(sys.Txs[r.tx].Steps)-1
+		txMu.Lock()
+		att := attempts[r.tx]
+		if last {
+			committed[r.tx] = true
+			delete(inFlight, r.tx)
+		}
+		txMu.Unlock()
+		if last {
+			committingCount.Add(1)
+		}
+		outMu.Lock()
+		output.Append(online.Event{Step: core.StepID{Tx: r.tx, Idx: r.idx}, Attempt: att})
+		outMu.Unlock()
+		return last
+	}
+
+	// decide runs the scheduler on one request under its shard's dmu and
+	// does the decision's bookkeeping; wounds are collected before the
+	// verdict is returned, and an abort kicks every shard. It reports
+	// whether the request was decided; an undecided one must be parked by
+	// the caller, still under dmu. decide allocates nothing.
+	decide := func(r request, wasParked bool) (verdict, bool) {
+		if !offer(r.tx) {
+			kickAll()
+			return verdict{aborted: true, parked: wasParked, decided: time.Now()}, true
+		}
 		d := cs.Try(core.StepID{Tx: r.tx, Idx: r.idx})
 		collectWounds()
 		now := time.Now()
 		switch d {
 		case online.Grant:
-			last := r.idx == len(sys.Txs[r.tx].Steps)-1
-			txMu.Lock()
-			att := attempts[r.tx]
-			if last {
-				committed[r.tx] = true
-				delete(inFlight, r.tx)
-			}
-			txMu.Unlock()
-			if last {
-				committingCount.Add(1)
-			}
-			outMu.Lock()
-			output = append(output, online.Event{Step: core.StepID{Tx: r.tx, Idx: r.idx}, Attempt: att})
-			outMu.Unlock()
-			r.reply <- verdict{parked: wasParked, decided: now, lastGranted: last}
-			return true
+			return verdict{parked: wasParked, decided: now, lastGranted: granted(r)}, true
 		case online.AbortTx:
 			abortTx(r.tx)
 			kickAll()
-			r.reply <- verdict{aborted: true, parked: wasParked, decided: now}
-			return true
-		default:
-			return false
+			return verdict{aborted: true, parked: wasParked, decided: now}, true
 		}
+		return verdict{}, false
 	}
 
-	decideBatch := func(ss *shardState, reqs []request, wasParked bool) []bool {
+	// decideBatch decides a chunk of parked requests (each from a distinct
+	// transaction, all on one shard) in one scheduler critical section,
+	// under the shard's dmu: the requests are offered through
+	// online.TryBatch — a single shard-mutex acquisition for the natively
+	// batched schedulers — with the bookkeeping of decide, wounds collected
+	// once after the batch and one kick for all of its aborts. Verdicts are
+	// delivered to each decided request's reply channel; the returned slice
+	// marks which requests were decided (the rest stay parked).
+	decideBatch := func(ss *shardState, reqs []request) []bool {
 		// All scratch comes from the shard state: decideBatch only ever
-		// runs on ss's dispatch goroutine, and the returned decided slice
-		// is consumed before the loop's next batch.
+		// runs under ss.dmu, and the returned decided slice is consumed
+		// before the dmu is released.
 		ss.verdicts = ss.verdicts[:0]
 		ss.decided = ss.decided[:0]
 		for range reqs {
@@ -280,18 +295,12 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		idSlot := ss.idSlot[:0]
 		anyAbort := false
 		for i, r := range reqs {
-			txMu.Lock()
-			if woundedTx[r.tx] {
-				delete(woundedTx, r.tx)
-				txMu.Unlock()
-				abortTx(r.tx)
+			if !offer(r.tx) {
 				anyAbort = true
-				verdicts[i] = verdict{aborted: true, decided: time.Now()}
+				verdicts[i] = verdict{aborted: true, parked: true, decided: time.Now()}
 				decided[i] = true
 				continue
 			}
-			inFlight[r.tx] = true
-			txMu.Unlock()
 			ids = append(ids, core.StepID{Tx: r.tx, Idx: r.idx})
 			idSlot = append(idSlot, i)
 		}
@@ -304,29 +313,14 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		now := time.Now()
 		for k, d := range ds {
 			i := idSlot[k]
-			r := reqs[i]
 			switch d {
 			case online.Grant:
-				last := r.idx == len(sys.Txs[r.tx].Steps)-1
-				txMu.Lock()
-				att := attempts[r.tx]
-				if last {
-					committed[r.tx] = true
-					delete(inFlight, r.tx)
-				}
-				txMu.Unlock()
-				if last {
-					committingCount.Add(1)
-				}
-				outMu.Lock()
-				output = append(output, online.Event{Step: core.StepID{Tx: r.tx, Idx: r.idx}, Attempt: att})
-				outMu.Unlock()
-				verdicts[i] = verdict{decided: now, lastGranted: last}
+				verdicts[i] = verdict{parked: true, decided: now, lastGranted: granted(reqs[i])}
 				decided[i] = true
 			case online.AbortTx:
-				abortTx(r.tx)
+				abortTx(reqs[i].tx)
 				anyAbort = true
-				verdicts[i] = verdict{aborted: true, decided: now}
+				verdicts[i] = verdict{aborted: true, parked: true, decided: now}
 				decided[i] = true
 			}
 		}
@@ -338,32 +332,33 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		// wounds its own grant produced.
 		for i := range reqs {
 			if decided[i] {
-				v := verdicts[i]
-				v.parked = wasParked
-				reqs[i].reply <- v
+				reqs[i].reply <- verdicts[i]
 			}
 		}
 		return decided
 	}
 
 	// retryParked re-offers a shard's parked requests, chunked through the
-	// batch path (one scheduler critical section per chunk, chunk size =
-	// the loop's current adaptive bound), until a full scan makes no
-	// progress.
-	retryParked := func(ss *shardState, bound int) {
+	// batch path (one scheduler critical section per chunk of at most
+	// Config.Batch requests), until a full scan makes no progress. The
+	// caller holds ss.dmu. Replies are sent under the locks but never
+	// block: a parked request's user waits on an empty one-slot channel
+	// and gets exactly one reply.
+	retryParked := func(ss *shardState) {
 		for {
 			progressed := false
 			ss.mu.Lock()
 			n := len(ss.parked)
 			kept := ss.parked[:0]
-			for start := 0; start < n; start += bound {
-				end := start + bound
+			for start := 0; start < n; start += batch {
+				end := start + batch
 				if end > n {
 					end = n
 				}
 				if end-start == 1 {
 					p := ss.parked[start]
-					if decideOne(p, true) {
+					if v, ok := decide(p, true); ok {
+						p.reply <- v
 						parkedCount.Add(-1)
 						progressed = true
 					} else {
@@ -374,7 +369,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 				reqs := ss.reqs[:0]
 				reqs = append(reqs, ss.parked[start:end]...)
 				ss.reqs = reqs
-				dec := decideBatch(ss, reqs, true)
+				dec := decideBatch(ss, reqs)
 				for i, d := range dec {
 					if d {
 						parkedCount.Add(-1)
@@ -394,9 +389,9 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 
 	// tryBreak aborts a victim when every in-flight transaction is parked.
 	// It must stay cheap when there is no deadlock: an atomic precheck
-	// gates it, and shard mutexes are only ever taken one at a time (a
-	// breaker that locks all shards wholesale convoys with the dispatch
-	// loops on small machines). The shard-by-shard snapshot can go stale if
+	// gates it, and parked-queue mutexes are only ever taken one at a time,
+	// never a decision mutex (a breaker that locks all shards wholesale
+	// convoys with the deciders on small machines). The shard-by-shard snapshot can go stale if
 	// a request unparks mid-scan; the worst case is one spurious victim
 	// abort, which the restart machinery absorbs.
 	tryBreak := func() {
@@ -470,7 +465,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 	// next (back-to-back runs in one process, e.g. an experiment sweep).
 	var loopWG sync.WaitGroup
 
-	// Deadlock breaker: eager triggers from the shard loops plus a ticker
+	// Deadlock breaker: eager triggers from parking users plus a ticker
 	// backstop for triggers lost to races. The tick also re-kicks shards
 	// with parked requests — a watchdog against wake-ups starved by the Go
 	// scheduler on oversubscribed machines.
@@ -494,63 +489,19 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		}
 	}()
 
-	// Per-shard dispatch loops. Intake is coalesced: everything queued on
-	// the request channel (up to the loop's adaptive bound, AIMD-adjusted
-	// between 1 and Config.Batch by the observed backlog) is drained and
-	// decided in one critical section, instead of one select iteration —
-	// one channel hop, one retry scan, one deadlock precheck — per request.
+	// Per-shard dispatch loops: each serves its shard's kicks by retrying
+	// the parked queue under the shard's dmu. Decisions on fresh requests
+	// are taken by the requesting users themselves (see the user loop).
 	for i := range shards {
 		loopWG.Add(1)
 		go func(ss *shardState) {
 			defer loopWG.Done()
-			sizer := newBatchSizer(batch)
-			intake := make([]request, 0, batch)
 			for {
 				select {
-				case r := <-ss.reqCh:
-					bound := sizer.bound()
-					intake = append(intake[:0], r)
-				drain:
-					for len(intake) < bound {
-						select {
-						case r2 := <-ss.reqCh:
-							intake = append(intake, r2)
-						default:
-							break drain
-						}
-					}
-					sizer.observe(len(intake))
-					parkedNew := 0
-					if len(intake) == 1 {
-						if !decideOne(intake[0], false) {
-							ss.mu.Lock()
-							ss.parked = append(ss.parked, intake[0])
-							ss.mu.Unlock()
-							parkedNew++
-						}
-					} else {
-						dec := decideBatch(ss, intake, false)
-						ss.mu.Lock()
-						for i, d := range dec {
-							if !d {
-								ss.parked = append(ss.parked, intake[i])
-								parkedNew++
-							}
-						}
-						ss.mu.Unlock()
-					}
-					if parkedNew > 0 {
-						parkedCount.Add(int64(parkedNew))
-						txMu.Lock()
-						flying := len(inFlight)
-						txMu.Unlock()
-						if int(parkedCount.Load()) >= flying {
-							triggerBreak()
-						}
-					}
-					retryParked(ss, sizer.bound())
 				case <-ss.kick:
-					retryParked(ss, sizer.bound())
+					ss.dmu.Lock()
+					retryParked(ss)
+					ss.dmu.Unlock()
 				case <-done:
 					return
 				}
@@ -592,9 +543,11 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		errs.set(fmt.Errorf("sim: durable group commit of %d txs: %w", len(txs), err))
 	})
 
-	// User goroutines: one terminal per user, jobs assigned round-robin;
-	// each request goes to the dispatch loop of the shard owning its
-	// variable, and each granted step executes here, on the user goroutine.
+	// User goroutines: one terminal per user, jobs assigned round-robin.
+	// Each user decides its own requests under the dmu of the shard owning
+	// the step's variable, waits for a verdict only when its request
+	// parks, and executes each granted step here, after the dmu is
+	// released.
 	var wg sync.WaitGroup
 	jobCh := make(chan int)
 	for u := 0; u < users; u++ {
@@ -602,11 +555,11 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		go func(user int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(user)*7919))
-			// reply is this user's reusable verdict channel: every request
-			// gets exactly one reply and the user reads it before its next
-			// request (the deadlock breaker's victim reply is that one
-			// reply too), so one buffered channel per user replaces the
-			// per-step allocation.
+			// reply is this user's reusable verdict channel for parked
+			// requests: a parked request gets exactly one reply (from a
+			// parked-queue retry or the deadlock breaker) and the user reads
+			// it before its next request, so one buffered channel per user
+			// replaces the per-step allocation.
 			reply := make(chan verdict, 1)
 			// latBuf batches the fast path's latency samples locally; they
 			// are merged into the shared histogram once, when the user
@@ -642,13 +595,27 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 							time.Sleep(time.Duration(rng.Int63n(int64(cfg.ThinkTime) + 1)))
 						}
 						sent := time.Now()
-						shard := cs.ShardOf(sys.Txs[tx].Steps[idx].Var)
-						select {
-						case shards[shard].reqCh <- request{tx: tx, idx: idx, reply: reply}:
-						case <-done:
-							return
+						ss := shards[cs.ShardOf(sys.Txs[tx].Steps[idx].Var)]
+						r := request{tx: tx, idx: idx, reply: reply}
+						ss.dmu.Lock()
+						v, decided := decide(r, false)
+						if !decided {
+							ss.mu.Lock()
+							ss.parked = append(ss.parked, r)
+							ss.mu.Unlock()
+							parked := parkedCount.Add(1)
+							txMu.Lock()
+							flying := len(inFlight)
+							txMu.Unlock()
+							if int(parked) >= flying {
+								triggerBreak()
+							}
 						}
-						v := <-reply
+						retryParked(ss)
+						ss.dmu.Unlock()
+						if !decided {
+							v = <-reply
+						}
 						metMu.Lock()
 						if v.parked {
 							m.WaitNs.Add(float64(v.decided.Sub(sent)))
@@ -744,7 +711,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		}
 	}
 	outMu.Lock()
-	m.Output = projectFinal(output, committed)
+	m.Output = projectFinal(&output, committed)
 	outMu.Unlock()
 	txMu.Unlock()
 	if m.Elapsed > 0 {

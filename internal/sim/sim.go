@@ -4,11 +4,13 @@
 // occasionally touch shared data; a scheduler grants, delays or aborts each
 // arriving step request.
 //
-// There is one runtime: per-shard dispatch loops (sharded.go) decide every
-// step. A natively concurrent scheduler (online.ConcurrentScheduler) gets
-// one loop per shard; a plain online.Scheduler is wrapped in
-// online.Mutexed — one shard, one loop, every decision behind one lock —
-// which is Section 6's single scheduler.
+// There is one runtime (sharded.go): each user goroutine decides its own
+// step requests under the decision mutex of the shard owning the step's
+// variable, and a per-shard dispatch loop retries the requests parked
+// there. A natively concurrent scheduler (online.ConcurrentScheduler) gets
+// one decision mutex per shard; a plain online.Scheduler is wrapped in
+// online.Mutexed — one shard, every decision behind one lock — which is
+// Section 6's single scheduler.
 //
 // The simulator decomposes each step's latency exactly as Section 6 does:
 //
@@ -17,14 +19,15 @@
 //	execution time  — the cost of running the step.
 //
 // Execution time is real work when Config.Backend is set: every granted
-// step is applied to the storage backend on the requesting user's goroutine
+// step is applied to the storage backend on the requesting user's goroutine,
+// after the shard's decision mutex is released
 // (read the record, evaluate the step's interpretation, write a
 // copy-on-write record), commits discard the transaction's undo log through
 // the group-commit pipeline, and aborts roll it back before the scheduler
 // releases any locks. Without a backend the step cost is simulated; either
 // way Config.ExecTime adds an optional extra per-step cost. Commit
-// processing is off the scheduler's grant critical path: the final step's
-// grant replies immediately and the user goroutine finishes execution
+// processing is off the scheduler's grant critical path: the user leaves
+// the decision mutex with the final step's grant and finishes execution
 // before the commit releases locks.
 //
 // Any internal/online.Scheduler can be plugged in, so the experiments
@@ -36,11 +39,12 @@
 //
 // The steady-state request→grant→execute→commit cycle is allocation-free
 // (DESIGN.md "Memory discipline", enforced by TestHotPathAllocCeilings):
-// each user goroutine reuses one verdict reply channel for all its
+// each user goroutine reuses one verdict reply channel for its parked
 // requests, the histograms and the granted-step log are presized to the
-// run's expected sample counts, the dispatch loops' batch buffers are
-// per-loop scratch, and commit flows through pooled lock-table and
-// group-commit state. The allocations that remain in the drivers are
+// run's expected sample counts (restarts spill into further chunks, never
+// a copy of the whole log), the parked-retry batch buffers are per-shard
+// scratch, and commit flows through pooled lock-table and group-commit
+// state. The allocations that remain in the drivers are
 // deliberately confined to cold paths: restart bookkeeping after an abort,
 // the deadlock breaker's stuck-set, the failure path's error wrapping, and
 // end-of-run projection/reporting.
@@ -75,24 +79,23 @@ type Config struct {
 	// Users is the number of concurrent user goroutines; jobs are assigned
 	// round-robin. Zero means one user per job.
 	Users int
-	// Batch caps how many queued step requests a dispatch loop decides in
-	// one scheduler critical section (intake coalescing; 0 or 1 = one
-	// request per loop iteration, the unbatched runtime). The effective
-	// bound is adaptive: each loop grows it additively while its queue
-	// shows backlog and halves it toward 1 as the queue drains (AIMD), so
-	// a large Batch costs nothing on thin traffic. In every configuration
-	// each commit flows through the storage group-commit pipeline: a
+	// Batch caps how many parked step requests one retry of a shard's
+	// parked queue offers the scheduler in one critical section
+	// (online.TryBatch; 0 or 1 = one request at a time). Fresh requests
+	// are always decided one by one, by the requesting user. In every
+	// configuration each commit flows through the storage group-commit
+	// pipeline: a
 	// finishing transaction enqueues its commit, and the lane's driver —
 	// the first committer to find the lane idle — discards undo logs and
 	// releases scheduler locks for the whole accumulated group in one
 	// sweep, asynchronously to every follower (async lock release; a lone
 	// committer drives its own singleton group, which is the old inline
 	// commit). The granted-step log and all invariants are unchanged; only
-	// the batching of decisions and commit processing differs.
+	// the batching of parked retries and commit processing differs.
 	Batch int
 	// ExecTime adds a simulated per-step execution cost on top of any
 	// backend work (0 = none). It is slept on the user goroutine after the
-	// grant, never inside a dispatch loop.
+	// grant, never under a decision mutex.
 	ExecTime time.Duration
 	// ThinkTime simulates per-user local computation between steps, drawn
 	// uniformly from [0, ThinkTime].
@@ -202,7 +205,8 @@ func Instantiate(template *core.System, jobs int) *core.System {
 	return inst.Normalize()
 }
 
-// request is one step arrival sent to a dispatch loop.
+// request is one step request; a delayed one waits in its shard's parked
+// queue until a retry or the deadlock breaker replies on reply.
 type request struct {
 	tx    int
 	idx   int
@@ -243,8 +247,8 @@ func (e *runErrors) get() error {
 
 // applyStep executes a granted step's real work on the user goroutine: the
 // backend apply (timed into ExecNs under metMu) plus the optional ExecTime
-// extra cost. This deliberately happens after the grant reply, off every
-// dispatch loop's critical path. It reports whether the step succeeded; on
+// extra cost. This deliberately happens after the grant, with no decision
+// mutex held. It reports whether the step succeeded; on
 // failure the error is recorded and the caller must abort the transaction
 // through the normal abort path (rollback, then scheduler release) and stop
 // it — continuing, or worse committing, would persist a partially-applied
@@ -277,8 +281,8 @@ func applyStep(cfg *Config, tx, idx int, m *Metrics, metMu *sync.Mutex, errs *ru
 //
 // Every run goes through the dispatch runtime (see runSharded): users
 // contend only on the shards their steps touch. A plain online.Scheduler
-// is wrapped once in online.Mutexed — one shard, one dispatch loop, every
-// decision behind one lock — which is the single scheduler of Section 6.
+// is wrapped once in online.Mutexed — one shard, every decision behind one
+// lock — which is the single scheduler of Section 6.
 func Run(cfg Config) (*Metrics, error) {
 	sys := cfg.System
 	if sys == nil || sys.NumTxs() == 0 {
@@ -353,8 +357,8 @@ func durableErr(be storage.Backend) error {
 // presizeMetrics reserves the histograms' expected steady-state sample
 // counts — one wait-or-sched sample per request, one latency sample per
 // job, one exec sample per applied step — so recording a sample never
-// allocates on a conflict-free run (restarts overflow into amortized
-// growth, a cold path).
+// allocates on a conflict-free run (restarts spill into further chunks
+// without copying the recorded samples, a cold path).
 func presizeMetrics(m *Metrics, sys *core.System, backend bool) {
 	steps := sys.StepCount()
 	m.WaitNs.Grow(steps)
@@ -381,19 +385,19 @@ func fillAllocStats(m *Metrics, am *report.AllocMeter) {
 // aborted final attempt leaves steps in the log whose effects were rolled
 // back, and keeping them would make the result disagree with both the
 // committed backend state and any legal schedule semantics.
-func projectFinal(output []online.Event, committed []bool) core.Schedule {
+func projectFinal(output *report.Chunks[online.Event], committed []bool) core.Schedule {
 	lastAttempt := make([]int, len(committed))
-	for _, e := range output {
+	output.Each(func(e online.Event) {
 		if committed[e.Step.Tx] && e.Attempt > lastAttempt[e.Step.Tx] {
 			lastAttempt[e.Step.Tx] = e.Attempt
 		}
-	}
-	h := make(core.Schedule, 0, len(output))
-	for _, e := range output {
+	})
+	h := make(core.Schedule, 0, output.Len())
+	output.Each(func(e online.Event) {
 		if committed[e.Step.Tx] && e.Attempt == lastAttempt[e.Step.Tx] {
 			h = append(h, e.Step)
 		}
-	}
+	})
 	return h
 }
 

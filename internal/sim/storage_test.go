@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
@@ -60,9 +61,15 @@ func strictSchedulers() []struct {
 
 // checkReplayInvariant runs the configuration with a fresh KV backend and
 // fails unless all jobs commit and the backend state equals the serial
-// replay of the committed schedule. batch > 1 turns on intake coalescing
-// and group commit.
+// replay of the committed schedule. batch > 1 batches parked retries.
 func checkReplayInvariant(t *testing.T, name string, mk func() online.Scheduler, template *core.System, jobs, users, valueSize int, seed int64, batch int) *Metrics {
+	t.Helper()
+	return checkReplay(t, name, mk, template, jobs, valueSize, Config{Users: users, Seed: seed, Batch: batch})
+}
+
+// checkReplay is checkReplayInvariant with the remaining run settings
+// (users, seed, batch, step costs) given as a Config.
+func checkReplay(t *testing.T, name string, mk func() online.Scheduler, template *core.System, jobs, valueSize int, cfg Config) *Metrics {
 	t.Helper()
 	inst := Instantiate(template, jobs)
 	shards := 1
@@ -70,7 +77,8 @@ func checkReplayInvariant(t *testing.T, name string, mk func() online.Scheduler,
 		shards = cs.NumShards()
 	}
 	be := storage.NewKV(storage.Config{Shards: shards, ValueSize: valueSize})
-	m, err := Run(Config{System: inst, Sched: mk(), Backend: be, Users: users, Seed: seed, Batch: batch})
+	cfg.System, cfg.Sched, cfg.Backend = inst, mk(), be
+	m, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -118,7 +126,10 @@ func TestBackendStateMatchesCommittedReplay(t *testing.T) {
 // hotspot workload under no-wait 2PL (which aborts on every lock conflict)
 // forces many concurrent rollbacks across the sharded runtime, and the
 // final state must still be byte-for-byte the committed replay — no
-// aborted write may leak.
+// aborted write may leak. Each step costs hotExecTime, slept while the
+// transaction holds its locks, so transactions overlap in time: without
+// it, users deciding their own steps finish these short jobs faster than
+// a second CPU joins in, and most runs would see no conflict at all.
 func TestBackendAbortRollbackUnderContention(t *testing.T) {
 	hot := (&core.System{
 		Name: "hotspot",
@@ -140,7 +151,7 @@ func TestBackendAbortRollbackUnderContention(t *testing.T) {
 			{"2pl-sharded4/nowait", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.NoWait, 4) }},
 			{"2pl-sharded4/woundwait", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4) }},
 		} {
-			m := checkReplayInvariant(t, cfg.name, cfg.mk, hot, 16, 8, 64, seed, 0)
+			m := checkReplay(t, cfg.name, cfg.mk, hot, 16, 64, Config{Users: 8, Seed: seed, ExecTime: hotExecTime})
 			if m.Aborts > 0 {
 				anyAborts = true
 			}
@@ -150,6 +161,10 @@ func TestBackendAbortRollbackUnderContention(t *testing.T) {
 		t.Fatal("stress produced no aborts; rollback path untested")
 	}
 }
+
+// hotExecTime is the per-step cost the abort stress tests sleep after each
+// grant, so that concurrent transactions overlap on the hot variables.
+const hotExecTime = 20 * time.Microsecond
 
 // TestBackendExecMetrics: with a backend the Section 6 execution-time
 // component is measured from real work.

@@ -43,6 +43,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"time"
 )
@@ -228,6 +229,11 @@ func (d *Disk) checkpointOnce() error {
 	// error stops everything, this checkpoint included. A Reset since the
 	// capture (generation bump) abandons the checkpoint: its file refers
 	// to a discarded incarnation and must never gate that log's segments.
+	// Reset does not wait for checkpoints, so the rename above may have
+	// landed after Reset cleared the directory; recovery would then take
+	// the old incarnation's state for the new one's, so the abandoned
+	// checkpoint removes its own file. No later checkpoint can have
+	// reused the name: they all wait for ckptMu, which this one holds.
 	d.mu.Lock()
 	if d.err != nil {
 		err := d.err
@@ -236,6 +242,9 @@ func (d *Disk) checkpointOnce() error {
 	}
 	if d.ckptGen != gen {
 		d.mu.Unlock()
+		if err := d.fs.Remove(segPath(d.dir, ckptName(cseq))); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("storage: remove superseded checkpoint: %w", err)
+		}
 		return errCkptSuperseded
 	}
 	if err := d.appendLocked(d.enc.encodeCkpt(cseq, aseq, aoff)); err != nil {

@@ -667,6 +667,143 @@ func TestCheckpointResetRace(t *testing.T) {
 	}
 }
 
+// holdCkptFS holds one checkpoint file operation — the Create of its tmp
+// file or its publishing Rename — until the test releases it, so a Reset
+// can be landed at that point deterministically. With insideList set, the
+// next List — Reset's — releases the held operation and waits for it before
+// returning its listing, which lands the operation between Reset's List
+// and its Removes.
+type holdCkptFS struct {
+	FS
+	op      string        // "Create" or "Rename"
+	entered chan struct{} // closed when the operation is held
+	release chan struct{} // closing it lets the held operation proceed
+	done    chan struct{} // closed once the held operation has returned
+
+	mu         sync.Mutex
+	held       bool
+	insideList bool
+}
+
+func newHoldCkptFS(op string, insideList bool) *holdCkptFS {
+	return &holdCkptFS{FS: OSFS{}, op: op, entered: make(chan struct{}), release: make(chan struct{}),
+		done: make(chan struct{}), insideList: insideList}
+}
+
+// hold reports whether this call is the one to hold, and marks it held.
+func (h *holdCkptFS) hold(op, name string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.held || op != h.op || !strings.HasPrefix(filepath.Base(name), ckptPrefix) {
+		return false
+	}
+	h.held = true
+	return true
+}
+
+func (h *holdCkptFS) Create(name string) (File, error) {
+	if !h.hold("Create", name) {
+		return h.FS.Create(name)
+	}
+	close(h.entered)
+	<-h.release
+	defer close(h.done)
+	return h.FS.Create(name)
+}
+
+func (h *holdCkptFS) Rename(oldname, newname string) error {
+	if !h.hold("Rename", oldname) {
+		return h.FS.Rename(oldname, newname)
+	}
+	close(h.entered)
+	<-h.release
+	defer close(h.done)
+	return h.FS.Rename(oldname, newname)
+}
+
+func (h *holdCkptFS) List(dir string) ([]string, error) {
+	names, err := h.FS.List(dir)
+	h.mu.Lock()
+	inside := h.held && h.insideList
+	if inside {
+		h.insideList = false
+	}
+	h.mu.Unlock()
+	if inside {
+		close(h.release)
+		<-h.done
+	}
+	return names, err
+}
+
+// TestCheckpointRenameAfterReset pins what a checkpoint superseded by Reset
+// leaves behind. Reset does not wait for an in-flight checkpoint, so a
+// checkpoint that captured the old incarnation can create and publish its
+// file after Reset cleared the directory ("after-reset"), or publish it
+// between Reset's listing and its unlinks ("inside-reset"). Either way the
+// old incarnation's checkpoint file must not survive into the new one —
+// recovery would load the old state as the new incarnation's checkpoint —
+// and a file vanishing under Reset must not poison the store.
+func TestCheckpointRenameAfterReset(t *testing.T) {
+	cases := []struct {
+		name, op   string
+		insideList bool
+	}{
+		{"after-reset", "Create", false},
+		{"inside-reset", "Rename", true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			hfs := newHoldCkptFS(c.op, c.insideList)
+			d, err := NewDisk(Config{Dir: dir, FS: hfs, Fsync: FsyncAlways, SegmentBytes: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Reset(tortureInit)
+			fillDisk(t, d, 0, 4*1024)
+			done := make(chan error, 1)
+			go func() { done <- d.Checkpoint() }()
+			<-hfs.entered
+			d.Reset(tortureInit)
+			if !c.insideList {
+				close(hfs.release)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("superseded checkpoint reported an error: %v", err)
+			}
+			if ds := d.DurabilityStats(); ds.Checkpoints != 0 || ds.CheckpointFailures != 0 {
+				t.Fatalf("superseded checkpoint counted: %+v", ds)
+			}
+			if err := d.Err(); err != nil {
+				t.Fatalf("reset racing a checkpoint poisoned the store: %v", err)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				if strings.HasPrefix(e.Name(), ckptPrefix) && strings.HasSuffix(e.Name(), ckptSuffix) {
+					t.Fatalf("superseded checkpoint file %s survived into the new incarnation", e.Name())
+				}
+			}
+			// Grow the new log past the old anchor, so a surviving stale
+			// checkpoint would find its anchor segment and be used.
+			fillDisk(t, d, 100000, 8*1024)
+			live := d.State()
+			d.Close()
+			r, err := OpenDisk(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if !r.State().Equal(live) {
+				t.Fatal("recovered state diverged from the live state")
+			}
+		})
+	}
+}
+
 // TestCheckpointerRespawnsAfterDegraded: after persistent failures park the
 // background loop, a Reset must not merely clear the CheckpointerOff flag —
 // it must bring back a live checkpointer, or the store reports healthy

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -329,7 +330,10 @@ func (d *Disk) resetLocked(init core.DB) {
 		if n == lockFileName {
 			continue // unlinking our own flock would let a second writer in
 		}
-		if err := d.fs.Remove(segPath(d.dir, n)); err != nil {
+		// A file gone since the List is not a fault: an in-flight
+		// checkpoint of the old incarnation renames its tmp file without
+		// d.mu (and removes its result itself once it sees the reset).
+		if err := d.fs.Remove(segPath(d.dir, n)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			d.poisonLocked(err)
 			return
 		}
