@@ -5,7 +5,7 @@ GO ?= go
 
 # PR numbers the bench-json snapshot; bump it (or pass PR=<n>) so each PR
 # that touches the engine writes its own BENCH_PR<n>.json.
-PR ?= 14
+PR ?= 15
 
 # The extended vet set: standalone `go vet` runs its full analyzer
 # registry (atomic, copylocks, loopclosure, lostcancel, unsafeptr,
@@ -32,7 +32,7 @@ bench:
 	$(GO) test -run xxx -bench=. -benchtime=1x ./...
 
 # Machine-readable benchmark snapshot: the runtime experiments (sharding,
-# batching, native TO / rail striping, multiversion reads, durable
+# batching, native TO vs the Sharded rail, multiversion reads, durable
 # commit, checkpointed WAL, native SGT/OCC) rendered as JSON. Each PR
 # that touches the engine refreshes its BENCH_PR<n>.json so the
 # repository accumulates a throughput trajectory that later PRs can diff

@@ -565,45 +565,6 @@ func BenchmarkNativeOCCVsShardedOCC(b *testing.B) {
 	}
 }
 
-// BenchmarkRailStripes is the rail acceptance benchmark: multi-shard
-// transactions with pairwise conflicts (workload.CrossPairs — every
-// reservation carries real sources, components stay small) through the
-// Sharded combinator with a 1-stripe rail (the single-mutex PR 1
-// baseline: every reservation serializes on one lock and pays a DFS) and
-// a striped rail (disjoint pair-components resolve on different stripes,
-// and the cycle check is skipped entirely when components are disjoint).
-// Striped should sit at or above the single mutex.
-func BenchmarkRailStripes(b *testing.B) {
-	const (
-		pairs  = 24
-		shards = 4
-		users  = 16
-	)
-	template := workload.CrossPairs(pairs)
-	jobs := template.NumTxs()
-	run := func(b *testing.B, stripes int) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			inst := sim.Instantiate(template, jobs)
-			sched := online.NewShardedRail(shards, stripes, func() online.Scheduler {
-				return online.NewStrict2PL(lockmgr.WoundWait)
-			})
-			m, err := sim.Run(sim.Config{System: inst, Sched: sched, Users: users, Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.Committed != jobs {
-				b.Fatalf("committed %d of %d", m.Committed, jobs)
-			}
-		}
-	}
-	b.Run("single-mutex", func(b *testing.B) { run(b, 1) })
-	for _, stripes := range []int{4, 16} {
-		stripes := stripes
-		b.Run(fmt.Sprintf("striped-%d", stripes), func(b *testing.B) { run(b, stripes) })
-	}
-}
-
 func BenchmarkSimThroughput(b *testing.B) {
 	for _, mk := range []func() online.Scheduler{
 		func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) },

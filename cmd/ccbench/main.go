@@ -11,10 +11,10 @@
 //	ccbench -exp E8 -shards 1,8,32 -users 16   # custom scalability sweep
 //	ccbench -exp E9 -backend kv                # real-storage execution sweep
 //	ccbench -exp E10 -batch 1,16,64 -users 8   # batched-dispatch sweep
-//	ccbench -exp E11 -shards 1,4 -railstripes 8  # native-TO / rail sweep
+//	ccbench -exp E11 -shards 1,4               # native-TO vs Sharded(TO) sweep
 //	ccbench -exp E12 -readfrac 0.5,0.99 -users 16  # multiversion read sweep
 //	ccbench -exp E13 -fsync always,group -batch 1,8,32  # durable-commit sweep
-//	ccbench -exp E14 -checkpoint 0,8192,65536  # fuzzy-checkpoint footprint sweep
+//	ccbench -exp E14 -checkpoint 0,4096,16384  # fuzzy-checkpoint footprint sweep
 //	ccbench -exp E15 -shards 1,4,16 -users 16  # native SGT/OCC vs sharded sweep
 //
 // Profiling and allocation measurement (the perf workflow behind the
@@ -98,10 +98,9 @@ func main() {
 		shardsFlag  = flag.String("shards", "", "comma-separated shard counts for the E8/E10/E11/E15 sweeps (E8 default 1,4,16; E10 default 4; E11/E15 default 1,4)")
 		usersFlag   = flag.String("users", "", "comma-separated user counts for the E8/E10 sweeps (E8 default 4,8; E10 default 16,48); the first entry also sets E11/E15's users")
 		batchFlag   = flag.String("batch", "", "comma-separated batch sizes (max parked requests per retry critical section) for the E10 sweep (default 1,8,32)")
-		stripesFlag = flag.Int("railstripes", 0, "ordering-rail stripe count for the E11/E15 sweeps (0 = one per shard)")
 		fracFlag    = flag.String("readfrac", "", "comma-separated read fractions for the E12 multiversion sweep (default 0.5,0.9,0.99)")
 		fsyncFlag   = flag.String("fsync", "", "comma-separated fsync policies for the E13 durable-commit sweep (always|group|never; default always,group,never)")
-		ckptFlag    = flag.String("checkpoint", "", "comma-separated checkpoint intervals (WAL bytes) for the E14 sweep; 0 = checkpointing off (default 0,8192,65536)")
+		ckptFlag    = flag.String("checkpoint", "", "comma-separated checkpoint intervals (WAL bytes) for the E14 sweep; 0 = checkpointing off (default 0,4096,16384)")
 		backendFlag = flag.String("backend", "", "storage backend for the E9/E10/E11/E15 real-execution sweeps (kv|noop; default kv)")
 		cpuFlag     = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memFlag     = flag.String("memprofile", "", "write a heap profile to this file after the experiments finish")
@@ -176,10 +175,6 @@ func main() {
 		}
 		experiments.E10Config.Batches = sweep
 		experiments.E13Config.Batches = sweep
-	}
-	if *stripesFlag > 0 {
-		experiments.E11Config.RailStripes = *stripesFlag
-		experiments.E15Config.RailStripes = *stripesFlag
 	}
 	if *fracFlag != "" {
 		sweep, err := parseFracList(*fracFlag)

@@ -12,7 +12,7 @@
 //	ccsim -workload disjoint -sched cto -shards 4 -users 16
 //	ccsim -workload crosspairs -sched csgt -shards 4 -users 16
 //	ccsim -workload readmostly -readfrac 0.9 -sched cocc -shards 4 -users 16
-//	ccsim -workload crosspairs -sched to -shards 4 -railstripes 8
+//	ccsim -workload crosspairs -sched to -shards 4
 //	ccsim -workload readmostly -readfrac 0.95 -sched mv -shards 4 -backend kv
 //	ccsim -workload disjoint -sched 2pl-woundwait -shards 4 -backend disk -fsync group -batch 16
 //	ccsim -workload banking -sched 2pl-woundwait -backend disk -dir /tmp/ccwal -fsync always
@@ -35,10 +35,9 @@
 // lock-free zero-conflict grants; abort-on-cycle and delay-on-cycle) and
 // -sched cocc the natively concurrent optimistic scheduler (epoch-based
 // backward validation, no global critical section); like cto they are
-// always sharded. For single-threaded schedulers behind the Sharded
-// combinator, -railstripes sets how many lock stripes the cross-shard
-// ordering rail is partitioned into (0 = one per shard; 1 = the
-// single-mutex degenerate).
+// always sharded. Single-threaded schedulers behind the Sharded
+// combinator share a cross-shard ordering rail striped one lock stripe per
+// shard.
 //
 // -workload readmostly generates the read-fraction workload: -readfrac of
 // the jobs are read-only (all-Read), the rest increment writers, all
@@ -132,11 +131,10 @@ func schedulerFactory(name string) (factory func() online.Scheduler, policy lock
 // family, native timestamp ordering for cto/cto-thomas, the native
 // serialization graph for csgt/csgt-delay, native optimistic validation
 // for cocc, and the Sharded combinator (with the striped cross-shard
-// ordering rail, railStripes wide; 0 = as wide as the shard count) for
-// everything else. The natively
+// ordering rail) for everything else. The natively
 // concurrent schedulers (cto, mv, csgt, cocc) are always sharded, so
 // -shards 0 behaves as one shard.
-func schedulerByName(name string, shards, railStripes int) (online.Scheduler, bool) {
+func schedulerByName(name string, shards int) (online.Scheduler, bool) {
 	switch name {
 	case "cto":
 		return online.NewConcurrentTO(max(shards, 1)), true
@@ -160,9 +158,6 @@ func schedulerByName(name string, shards, railStripes int) (online.Scheduler, bo
 	}
 	if is2PL {
 		return online.NewConcurrentStrict2PL(policy, shards), true
-	}
-	if railStripes > 0 {
-		return online.NewShardedRail(shards, railStripes, factory), true
 	}
 	return online.NewSharded(shards, factory), true
 }
@@ -213,7 +208,6 @@ func main() {
 		jobs      = flag.Int("jobs", 32, "transaction instances to run")
 		users     = flag.Int("users", 8, "concurrent user goroutines")
 		shards    = flag.Int("shards", 0, "shard count for the concurrent engine (0 = one scheduler behind one lock)")
-		stripes   = flag.Int("railstripes", 0, "lock stripes of the cross-shard ordering rail (0 = one per shard)")
 		batchSz   = flag.Int("batch", 1, "max parked requests one retry decides in one scheduler critical section")
 		backend   = flag.String("backend", "none", "storage backend executing granted steps (none|kv|noop|disk)")
 		valueSize = flag.Int("valuesize", 256, "payload bytes per stored record (kv backend)")
@@ -236,7 +230,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccsim: unknown workload %q\n", *wl)
 		os.Exit(2)
 	}
-	sched, ok := schedulerByName(*sc, *shards, *stripes)
+	sched, ok := schedulerByName(*sc, *shards)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "ccsim: unknown scheduler %q\n", *sc)
 		os.Exit(2)

@@ -967,16 +967,14 @@ func e10WithScale(jobs int, userSweep, shardSweep, batchSweep []int, backendName
 }
 
 // E11Config parameterizes the native-TO experiment; cmd/ccbench overrides
-// the sweeps via its -shards, -users and -railstripes flags. RailStripes 0
-// stripes the rail as widely as the shard count (the default).
+// the sweeps via its -shards and -users flags.
 var E11Config = struct {
 	Jobs        int
 	Users       int
 	Shards      []int
-	RailStripes int
 	Backend     string
 	MaxRestarts int
-}{Jobs: 48, Users: 12, Shards: []int{1, 4}, RailStripes: 0, Backend: "kv", MaxRestarts: 10000}
+}{Jobs: 48, Users: 12, Shards: []int{1, 4}, Backend: "kv", MaxRestarts: 10000}
 
 // E11NativeTimestampOrdering measures the natively concurrent
 // timestamp-ordering scheduler (online.ConcurrentTO: lock-free sharded
@@ -994,15 +992,15 @@ var E11Config = struct {
 // the check is the schedulers' contract instead: all jobs commit and the
 // committed schedule is conflict-serializable.
 func E11NativeTimestampOrdering() (*Result, error) {
-	return e11WithScale(E11Config.Jobs, E11Config.Users, E11Config.Shards, E11Config.RailStripes, E11Config.Backend, E11Config.MaxRestarts)
+	return e11WithScale(E11Config.Jobs, E11Config.Users, E11Config.Shards, E11Config.Backend, E11Config.MaxRestarts)
 }
 
 // E11Quick is a smaller variant for tests.
 func E11Quick() (*Result, error) {
-	return e11WithScale(12, 4, []int{2}, 0, E11Config.Backend, E11Config.MaxRestarts)
+	return e11WithScale(12, 4, []int{2}, E11Config.Backend, E11Config.MaxRestarts)
 }
 
-func e11WithScale(jobs, users int, shardSweep []int, railStripes int, backendName string, maxRestarts int) (*Result, error) {
+func e11WithScale(jobs, users int, shardSweep []int, backendName string, maxRestarts int) (*Result, error) {
 	res := &Result{
 		ID:    "E11",
 		Title: "Native timestamp ordering — ConcurrentTO vs Sharded(TO) vs strict 2PL across shards × skew",
@@ -1025,13 +1023,9 @@ func e11WithScale(jobs, users int, shardSweep []int, railStripes int, backendNam
 		t := report.NewTable(fmt.Sprintf("%s, %d jobs, %d users", reg.name, jobs, users),
 			"scheduler", "committed", "aborts", "mean-sched-µs", "mean-wait-µs", "throughput-tx/s", "self-check")
 		for _, shards := range shardSweep {
-			stripes := railStripes
-			if stripes <= 0 {
-				stripes = shards
-			}
 			scheds := []online.Scheduler{
 				online.NewConcurrentTO(shards),
-				online.NewShardedRail(shards, stripes, func() online.Scheduler { return online.NewTO() }),
+				online.NewSharded(shards, func() online.Scheduler { return online.NewTO() }),
 				online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards),
 			}
 			for _, sched := range scheds {
@@ -1325,7 +1319,9 @@ func e13WithScale(jobs, users, shards int, batches []int, fsyncs []string) (*Res
 }
 
 // E14Config parameterizes the checkpointing experiment; cmd/ccbench
-// overrides the interval sweep via its -checkpoint flag.
+// overrides the interval sweep via its -checkpoint flag. The intervals are
+// sized to the redo-only log: a 1024-job run appends about 35 KB, so even
+// the largest default interval checkpoints at the top volume.
 var E14Config = struct {
 	Volumes      []int // committed-transaction volumes (jobs per run)
 	Users        int
@@ -1334,7 +1330,7 @@ var E14Config = struct {
 	SegmentBytes int
 	Intervals    []int // CheckpointBytes values; 0 = checkpointing off
 }{Volumes: []int{128, 1024}, Users: 16, Shards: 4, Batch: 8,
-	SegmentBytes: 4096, Intervals: []int{0, 8192, 65536}}
+	SegmentBytes: 4096, Intervals: []int{0, 4096, 16384}}
 
 // E14CheckpointedWAL measures the online fuzzy checkpointer: checkpoint
 // interval × commit volume on the disjoint workload, reporting the
@@ -1507,17 +1503,14 @@ func walFootprint(dir string) (files int, bytes int64, err error) {
 }
 
 // E15Config parameterizes the native SGT/OCC experiment; cmd/ccbench
-// overrides the sweeps via its -shards, -users and -railstripes flags.
-// RailStripes 0 stripes the sharded baselines' rail as widely as the shard
-// count (the default).
+// overrides the sweeps via its -shards and -users flags.
 var E15Config = struct {
 	Jobs        int
 	Users       int
 	Shards      []int
-	RailStripes int
 	Backend     string
 	MaxRestarts int
-}{Jobs: 48, Users: 12, Shards: []int{1, 4}, RailStripes: 0, Backend: "kv", MaxRestarts: 10000}
+}{Jobs: 48, Users: 12, Shards: []int{1, 4}, Backend: "kv", MaxRestarts: 10000}
 
 // E15NativeSGTOCC measures the natively concurrent serialization-graph
 // and optimistic schedulers (online.ConcurrentSGT on the striped
@@ -1535,15 +1528,15 @@ var E15Config = struct {
 // contract instead: all jobs commit and the committed schedule is
 // conflict-serializable.
 func E15NativeSGTOCC() (*Result, error) {
-	return e15WithScale(E15Config.Jobs, E15Config.Users, E15Config.Shards, E15Config.RailStripes, E15Config.Backend, E15Config.MaxRestarts)
+	return e15WithScale(E15Config.Jobs, E15Config.Users, E15Config.Shards, E15Config.Backend, E15Config.MaxRestarts)
 }
 
 // E15Quick is a smaller variant for tests.
 func E15Quick() (*Result, error) {
-	return e15WithScale(12, 4, []int{2}, 0, E15Config.Backend, E15Config.MaxRestarts)
+	return e15WithScale(12, 4, []int{2}, E15Config.Backend, E15Config.MaxRestarts)
 }
 
-func e15WithScale(jobs, users int, shardSweep []int, railStripes int, backendName string, maxRestarts int) (*Result, error) {
+func e15WithScale(jobs, users int, shardSweep []int, backendName string, maxRestarts int) (*Result, error) {
 	res := &Result{
 		ID:    "E15",
 		Title: "Native SGT + OCC — striped serialization graph and epoch validation vs Sharded(SGT)/Sharded(OCC) across shards × skew",
@@ -1568,15 +1561,11 @@ func e15WithScale(jobs, users int, shardSweep []int, railStripes int, backendNam
 		t := report.NewTable(fmt.Sprintf("%s, %d jobs, %d users", reg.name, jobs, users),
 			"scheduler", "committed", "aborts", "mean-sched-µs", "mean-wait-µs", "throughput-tx/s", "self-check")
 		for _, shards := range shardSweep {
-			stripes := railStripes
-			if stripes <= 0 {
-				stripes = shards
-			}
 			scheds := []online.Scheduler{
 				online.NewConcurrentSGTAborting(shards),
-				online.NewShardedRail(shards, stripes, func() online.Scheduler { return online.NewSGTAborting() }),
+				online.NewSharded(shards, func() online.Scheduler { return online.NewSGTAborting() }),
 				online.NewConcurrentOCC(shards),
-				online.NewShardedRail(shards, stripes, func() online.Scheduler { return online.NewOCC() }),
+				online.NewSharded(shards, func() online.Scheduler { return online.NewOCC() }),
 				online.NewConcurrentTO(shards),
 				online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards),
 			}

@@ -1,6 +1,6 @@
 // Package lint is cclint's analyzer suite: project-specific static analyses
-// that machine-check the invariants DESIGN.md states in prose — the rail's
-// lock hierarchy, the zero-allocation hot path, the Recycle aliasing rules,
+// that machine-check the invariants DESIGN.md states in prose — the lock
+// hierarchy, the zero-allocation hot path, the Recycle aliasing rules,
 // atomics-only field access, and goroutine join discipline in the
 // simulator. Each analyzer is written against internal/lint/analysis (a
 // stdlib-only core mirroring golang.org/x/tools/go/analysis) and tested

@@ -10,11 +10,11 @@ import (
 )
 
 // LockOrder machine-checks the engine's documented lock hierarchy (DESIGN.md
-// "Rail striping" and "Durability"):
+// "Striped component graph" and "Durability"):
 //
-//   - rail: stripe mutexes (railStripe.mu) are acquired in ascending index
-//     order, and stripedRail.compMu nests strictly inside them — compMu is
-//     never held while acquiring a stripe mutex.
+//   - compgraph: stripe mutexes (compStripe.mu) are acquired in ascending
+//     index order, and compGraph.compMu nests strictly inside them — compMu
+//     is never held while acquiring a stripe mutex.
 //   - lockmgr: per-shard table mutexes (tableShard.mu) are never nested —
 //     every multi-shard sweep releases one shard before locking the next —
 //     and fastSet.mu is innermost.
@@ -49,7 +49,7 @@ var LockOrder = &analysis.Analyzer{
 // "OwnerType.field" so the analyzer needs no package configuration and the
 // golden fixtures can replicate the shapes under test.
 type lockClass struct {
-	key    string // "railStripe.mu"
+	key    string // "compStripe.mu"
 	domain string // classes in different domains never constrain each other
 	// rank orders acquisition within a domain: a lock may only be acquired
 	// while every held same-domain lock has a strictly smaller rank
@@ -68,10 +68,8 @@ type lockClass struct {
 
 // lockClasses is the hierarchy under enforcement, keyed by OwnerType.field.
 var lockClasses = map[string]*lockClass{
-	"railStripe.mu":        {key: "railStripe.mu", domain: "rail", rank: 10, multi: true, ascending: true},
-	"stripedRail.compMu":   {key: "stripedRail.compMu", domain: "rail", rank: 20},
-	"sgtStripe.mu":         {key: "sgtStripe.mu", domain: "sgtgraph", rank: 10, multi: true, ascending: true},
-	"sgtGraph.compMu":      {key: "sgtGraph.compMu", domain: "sgtgraph", rank: 20},
+	"compStripe.mu":        {key: "compStripe.mu", domain: "compgraph", rank: 10, multi: true, ascending: true},
+	"compGraph.compMu":     {key: "compGraph.compMu", domain: "compgraph", rank: 20},
 	"tableShard.mu":        {key: "tableShard.mu", domain: "lockmgr", rank: 10, multi: true},
 	"fastSet.mu":           {key: "fastSet.mu", domain: "lockmgr", rank: 20, multi: true},
 	"Disk.ckptMu":          {key: "Disk.ckptMu", domain: "disk", rank: 5},

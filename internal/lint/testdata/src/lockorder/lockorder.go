@@ -6,47 +6,59 @@ package lockorder
 
 import "sync"
 
-type railStripe struct {
+type compStripe struct {
 	mu   sync.Mutex
 	subs map[string][]string
 }
 
-type stripedRail struct {
-	stripes []railStripe
+type compGraph struct {
+	stripes []compStripe
 	compMu  sync.Mutex
 	parent  map[string]string
 }
 
 // compUnderNothingThenStripe violates the nesting direction: compMu is the
-// innermost rail lock and must never be held while acquiring a stripe.
-func (r *stripedRail) compUnderNothingThenStripe(i int) {
-	r.compMu.Lock()
-	r.stripes[i].mu.Lock() // want "railStripe.mu acquired while stripedRail.compMu is held"
-	r.stripes[i].mu.Unlock()
-	r.compMu.Unlock()
+// innermost graph lock and must never be held while acquiring a stripe.
+func (g *compGraph) compUnderNothingThenStripe(i int) {
+	g.compMu.Lock()
+	g.stripes[i].mu.Lock() // want "compStripe.mu acquired while compGraph.compMu is held"
+	g.stripes[i].mu.Unlock()
+	g.compMu.Unlock()
 }
 
 // helperLocksStripe exists to hide the stripe acquisition behind a call.
-func (r *stripedRail) helperLocksStripe(i int) {
-	r.stripes[i].mu.Lock()
-	defer r.stripes[i].mu.Unlock()
-	r.parent["a"] = "b"
+func (g *compGraph) helperLocksStripe(i int) {
+	g.stripes[i].mu.Lock()
+	defer g.stripes[i].mu.Unlock()
+	g.parent["a"] = "b"
 }
 
 // compThenHelper hits the same violation through the call summary.
-func (r *stripedRail) compThenHelper(i int) {
-	r.compMu.Lock()
-	defer r.compMu.Unlock()
-	r.helperLocksStripe(i) // want "call to helperLocksStripe may acquire railStripe.mu while stripedRail.compMu is held"
+func (g *compGraph) compThenHelper(i int) {
+	g.compMu.Lock()
+	defer g.compMu.Unlock()
+	g.helperLocksStripe(i) // want "call to helperLocksStripe may acquire compStripe.mu while compGraph.compMu is held"
 }
 
 // unsortedLoop acquires many stripes in an order nothing proves ascending.
-func (r *stripedRail) unsortedLoop(locked []int) {
+func (g *compGraph) unsortedLoop(locked []int) {
 	for _, i := range locked {
-		r.stripes[i].mu.Lock() // want "not provably ascending"
+		g.stripes[i].mu.Lock() // want "not provably ascending"
 	}
 	for _, i := range locked {
-		r.stripes[i].mu.Unlock()
+		g.stripes[i].mu.Unlock()
+	}
+}
+
+// descendingLoop locks every stripe from the top index down: the reverse
+// of the documented ascending order, so two such sweeps racing an
+// ascending insert can deadlock.
+func (g *compGraph) descendingLoop() {
+	for i := len(g.stripes) - 1; i >= 0; i-- {
+		g.stripes[i].mu.Lock() // want "not provably ascending"
+	}
+	for i := range g.stripes {
+		g.stripes[i].mu.Unlock()
 	}
 }
 

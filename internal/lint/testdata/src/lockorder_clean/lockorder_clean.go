@@ -7,61 +7,61 @@ import (
 	"sync"
 )
 
-type railStripe struct {
+type compStripe struct {
 	mu   sync.Mutex
 	subs map[string][]string
 }
 
-type stripedRail struct {
-	stripes []railStripe
+type compGraph struct {
+	stripes []compStripe
 	compMu  sync.Mutex
 	parent  map[string]string
 }
 
 // compInsideStripe is the documented order: compMu nests inside a stripe.
-func (r *stripedRail) compInsideStripe(i int) {
-	r.stripes[i].mu.Lock()
-	defer r.stripes[i].mu.Unlock()
-	r.compMu.Lock()
-	r.parent["a"] = "b"
-	r.compMu.Unlock()
+func (g *compGraph) compInsideStripe(i int) {
+	g.stripes[i].mu.Lock()
+	defer g.stripes[i].mu.Unlock()
+	g.compMu.Lock()
+	g.parent["a"] = "b"
+	g.compMu.Unlock()
 }
 
-// sortedLoop is the reserve idiom: sort the indices, then lock ascending.
-func (r *stripedRail) sortedLoop(locked []int) {
+// sortedLoop is the insert idiom: sort the indices, then lock ascending.
+func (g *compGraph) sortedLoop(locked []int) {
 	sort.Ints(locked)
 	for _, i := range locked {
-		r.stripes[i].mu.Lock()
+		g.stripes[i].mu.Lock()
 	}
 	for _, i := range locked {
-		r.stripes[i].mu.Unlock()
+		g.stripes[i].mu.Unlock()
 	}
 }
 
 // rangeOverStripes locks every stripe by ranging the backing array itself —
 // index order by construction.
-func (r *stripedRail) rangeOverStripes() {
-	for i := range r.stripes {
-		r.stripes[i].mu.Lock()
+func (g *compGraph) rangeOverStripes() {
+	for i := range g.stripes {
+		g.stripes[i].mu.Lock()
 	}
-	for i := range r.stripes {
-		r.stripes[i].mu.Unlock()
+	for i := range g.stripes {
+		g.stripes[i].mu.Unlock()
 	}
 }
 
 // retryLoop is the lockComp idiom: the loop body releases the stripe before
 // the next iteration re-acquires it, so only one instance is ever held.
-func (r *stripedRail) retryLoop(i int) {
+func (g *compGraph) retryLoop(i int) {
 	for {
-		r.compMu.Lock()
+		g.compMu.Lock()
 		j := i
-		r.compMu.Unlock()
-		r.stripes[j].mu.Lock()
+		g.compMu.Unlock()
+		g.stripes[j].mu.Lock()
 		if j == i {
-			r.stripes[j].mu.Unlock()
+			g.stripes[j].mu.Unlock()
 			return
 		}
-		r.stripes[j].mu.Unlock()
+		g.stripes[j].mu.Unlock()
 	}
 }
 

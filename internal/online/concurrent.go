@@ -161,33 +161,32 @@ type shardSlot struct {
 // conflict cycle threading through several shards (each edge lives inside
 // one shard, but multi-shard transactions connect them). When the system
 // spans more than one shard, the rail keeps a transaction-level conflict
-// graph; a grant whose new edges would close a cycle is delayed before the
-// shard scheduler sees it. Edges are inserted atomically with the cycle
-// check and withdrawn if the shard scheduler rejects the step, so the set
-// of actually granted steps always stays acyclic and every complete run is
-// conflict-serializable. The graph is partitioned across lock stripes with
-// a union-style component map (see stripedRail): reservations touching
-// disjoint components never contend, and a conflict-free reservation takes
-// no rail lock at all. Cross-shard deadlocks are broken via the merged
-// waits-for view (WaitsForProvider) in Victim.
+// graph — the striped component graph ConcurrentSGT also runs on
+// (compGraph) — and a grant whose new edges would close a cycle is delayed
+// before the shard scheduler sees it. Edges are inserted atomically with
+// the cycle check and withdrawn if the shard scheduler rejects the step, so
+// the set of actually granted steps always stays acyclic and every
+// complete run is conflict-serializable. Inserts touching disjoint
+// components never contend, and a conflict-free insert takes no graph lock
+// at all. Cross-shard deadlocks are broken via the merged waits-for view
+// (WaitsForProvider) in Victim.
 //
 // On a single-shard system the rail is inert and every call reduces to a
 // locked delegation, so each wrapper realizes exactly the fixpoint set of
 // its single-threaded original — the replay-equivalence property the tests
 // check.
 type Sharded struct {
-	n           int
-	railStripes int
-	factory     func() Scheduler
-	name        string
+	n       int
+	factory func() Scheduler
+	name    string
 
 	sys      *core.System
 	shards   []*shardSlot
 	txShards [][]int
 
 	railOn bool
-	rail   *stripedRail
-	// railBufs pools the removed-node buffers of commit/abort rail calls
+	rail   *compGraph // striped as widely as the shard count
+	// railBufs pools the retired-node buffers of commit/abort rail calls
 	// (concurrent commit lanes each borrow one), so retiring a node — the
 	// per-transaction rail cost — allocates nothing in steady state.
 	railBufs sync.Pool
@@ -199,24 +198,13 @@ type Sharded struct {
 // instance: lazy computation in Name would race with concurrent dispatch
 // when a run is reported while in flight.
 func NewSharded(shards int, factory func() Scheduler) *Sharded {
-	return NewShardedRail(shards, shards, factory)
-}
-
-// NewShardedRail is NewSharded with an explicit rail stripe count
-// (minimum 1; 1 degenerates to a single-mutex rail, the PR 1 baseline
-// BenchmarkRailStripes compares against).
-func NewShardedRail(shards, railStripes int, factory func() Scheduler) *Sharded {
 	if shards < 1 {
 		shards = 1
 	}
-	if railStripes < 1 {
-		railStripes = 1
-	}
 	return &Sharded{
-		n:           shards,
-		railStripes: railStripes,
-		factory:     factory,
-		name:        fmt.Sprintf("sharded(%d)/%s", shards, factory().Name()),
+		n:       shards,
+		factory: factory,
+		name:    fmt.Sprintf("sharded(%d)/%s", shards, factory().Name()),
 	}
 }
 
@@ -254,7 +242,7 @@ func (s *Sharded) Begin(sys *core.System) {
 		}
 		sort.Ints(s.txShards[tx])
 	}
-	s.rail = newStripedRail(s.railStripes, sys.NumTxs())
+	s.rail = newCompGraph(s.n, sys.NumTxs())
 }
 
 // Try implements Scheduler: route the step to the shard owning its
@@ -318,10 +306,8 @@ func (s *Sharded) tryLocked(sh *shardSlot, id core.StepID) Decision {
 			sh.srcBuf = append(sh.srcBuf, rec.n)
 		}
 	}
-	added, ok := s.rail.reserve(me, sh.srcBuf, sh.addBuf[:0])
-	if added != nil {
-		sh.addBuf = added
-	}
+	added, ok := s.rail.insert(me, sh.srcBuf, sh.addBuf)
+	sh.addBuf = added
 	if !ok {
 		return Delay
 	}
@@ -335,7 +321,7 @@ func (s *Sharded) tryLocked(sh *shardSlot, id core.StepID) Decision {
 }
 
 // Commit implements Scheduler: notify every shard the transaction touched,
-// then retire its rail node (through a pooled removed-node buffer, so the
+// then retire its rail node (through a pooled retired-node buffer, so the
 // per-commit rail conversation allocates nothing).
 func (s *Sharded) Commit(tx int) {
 	for _, si := range s.txShards[tx] {
@@ -348,7 +334,7 @@ func (s *Sharded) Commit(tx int) {
 		return
 	}
 	bp := s.railBuf()
-	*bp = s.rail.commit(tx, (*bp)[:0])
+	*bp = s.rail.commitTx(tx, (*bp)[:0])
 	s.purgeLogs(*bp)
 	s.railBufs.Put(bp)
 }
@@ -371,7 +357,7 @@ func (s *Sharded) Abort(tx int) {
 	s.railBufs.Put(bp)
 }
 
-// railBuf borrows a removed-node buffer from the pool.
+// railBuf borrows a retired-node buffer from the pool.
 func (s *Sharded) railBuf() *[]railNode {
 	if b, ok := s.railBufs.Get().(*[]railNode); ok {
 		return b
@@ -379,18 +365,20 @@ func (s *Sharded) railBuf() *[]railNode {
 	return new([]railNode)
 }
 
-// purgeLogs drops the removed nodes' entries from every shard grant log.
-// removed is a handful of nodes (a retired incarnation plus its pruned
-// component members), so a linear membership scan beats building a set.
-func (s *Sharded) purgeLogs(removed []railNode) {
-	if len(removed) == 0 {
+// purgeLogs drops the retired nodes' entries from every shard grant log.
+// retired is a handful of nodes (an incarnation plus its pruned component
+// members), so a linear membership scan beats building a set. A concurrent
+// tryLocked may still read an entry before it is purged; the graph's
+// liveness check drops such a source.
+func (s *Sharded) purgeLogs(retired []railNode) {
+	if len(retired) == 0 {
 		return
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		kept := sh.log[:0]
 		for _, rec := range sh.log {
-			if !slices.Contains(removed, rec.n) {
+			if !slices.Contains(retired, rec.n) {
 				kept = append(kept, rec)
 			}
 		}

@@ -36,8 +36,8 @@ func containsNode(list []railNode, n railNode) bool {
 //     live reader/writer, not just the last ones: last-marks would lose
 //     transitive edges when an intermediate incarnation aborts and admit
 //     non-serializable schedules.
-//   - Edges and cycle checks live in sgtGraph, the striped union-find
-//     component graph (sgtgraph.go). Grants touching disjoint components
+//   - Edges and cycle checks live in compGraph, the striped union-find
+//     component graph (compgraph.go). Grants touching disjoint components
 //     proceed in parallel on different stripes; a zero-conflict grant
 //     (empty source set) takes no lock at all; only a same-component
 //     source forces the exact DFS, inside that component's single stripe.
@@ -60,7 +60,7 @@ type ConcurrentSGT struct {
 
 	sys   *core.System
 	marks *sgtMarks
-	graph *sgtGraph
+	graph *compGraph
 }
 
 // NewConcurrentSGT returns a natively concurrent SGT scheduler that delays
@@ -99,7 +99,7 @@ func (s *ConcurrentSGT) Begin(sys *core.System) {
 	}
 	s.sys = sys
 	s.marks = newSGTMarks(sys.Vars(), s.shards)
-	s.graph = newSGTGraph(s.shards, sys.NumTxs())
+	s.graph = newCompGraph(s.shards, sys.NumTxs())
 }
 
 // collect compacts dead incarnations out of a mark list in place and
@@ -157,7 +157,9 @@ func (s *ConcurrentSGT) Try(id core.StepID) Decision {
 	}
 	e.srcBuf = src
 	//cclint:ignore hotpath contended path: the striped-graph insert takes component stripe locks
-	if !s.graph.insert(me, src) {
+	added, ok := s.graph.insert(me, src, e.addBuf)
+	e.addBuf = added
+	if !ok {
 		if s.AbortOnCycle {
 			return AbortTx
 		}
@@ -182,12 +184,19 @@ func (s *ConcurrentSGT) TryBatch(ids []core.StepID) []Decision {
 	return out
 }
 
-// Commit implements Scheduler.
-func (s *ConcurrentSGT) Commit(tx int) { s.graph.commitTx(tx) }
+// Commit implements Scheduler. The retired nodes are not needed (marks
+// compact dead incarnations lazily), so they land in a stack buffer.
+func (s *ConcurrentSGT) Commit(tx int) {
+	var buf [4]railNode
+	s.graph.commitTx(tx, buf[:0])
+}
 
 // Abort implements Scheduler: the incarnation's node leaves the graph and
 // its marks die everywhere, atomically under its component's stripe.
-func (s *ConcurrentSGT) Abort(tx int) { s.graph.abortTx(tx) }
+func (s *ConcurrentSGT) Abort(tx int) {
+	var buf [4]railNode
+	s.graph.abortTx(tx, buf[:0])
+}
 
 // Victim implements Scheduler: abort the stuck transaction with the most
 // incoming conflict edges (most constrained), matching the sequential

@@ -142,12 +142,12 @@ func TestConcurrentTOParallelDrive(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardedRailStripesSerializable re-runs the rail's acceptance
-// property across stripe counts (1 = the single-mutex degenerate, then
-// genuinely striped): whatever completes under the striped rail must be
-// conflict-serializable, for delay-based, abort-based and lock-based
-// wrapped schedulers alike. The CI stress job repeats this under -race.
-func TestShardedRailStripesSerializable(t *testing.T) {
+// TestShardedRailSerializable re-runs the rail's acceptance property
+// across shard counts (the rail is striped one stripe per shard): whatever
+// completes under the striped rail must be conflict-serializable, for
+// delay-based, abort-based and lock-based wrapped schedulers alike. The CI
+// stress job repeats this under -race.
+func TestShardedRailSerializable(t *testing.T) {
 	factories := []struct {
 		name    string
 		factory func() Scheduler
@@ -157,11 +157,11 @@ func TestShardedRailStripesSerializable(t *testing.T) {
 		{"to/basic", func() Scheduler { return NewTO() }},
 	}
 	systems := []*core.System{workload.Cross(), workload.Banking(), workload.CrossPairs(3)}
-	for _, stripes := range []int{1, 2, 8} {
+	for _, shards := range []int{2, 4, 8} {
 		for _, sys := range systems {
 			for _, tc := range factories {
-				sched := NewShardedRail(4, stripes, tc.factory)
-				rng := rand.New(rand.NewSource(int64(stripes) * 131))
+				sched := NewSharded(shards, tc.factory)
+				rng := rand.New(rand.NewSource(int64(shards) * 131))
 				completed := 0
 				for trial := 0; trial < 12; trial++ {
 					h := schedule.Random(sys.Format(), rng)
@@ -176,12 +176,12 @@ func TestShardedRailStripesSerializable(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !csr {
-						t.Fatalf("stripes=%d %s on %s: non-serializable final schedule %v from %v",
-							stripes, tc.name, sys.Name, final, h)
+						t.Fatalf("shards=%d %s on %s: non-serializable final schedule %v from %v",
+							shards, tc.name, sys.Name, final, h)
 					}
 				}
 				if completed == 0 {
-					t.Fatalf("stripes=%d %s on %s: no trial completed", stripes, tc.name, sys.Name)
+					t.Fatalf("shards=%d %s on %s: no trial completed", shards, tc.name, sys.Name)
 				}
 			}
 		}

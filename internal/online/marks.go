@@ -41,6 +41,7 @@ type sgtEntry struct {
 	readers []railNode
 	writers []railNode
 	srcBuf  []railNode // source-collection scratch, reused across Trys
+	addBuf  []railNode // graph-insert scratch (ConcurrentSGT never withdraws)
 }
 
 // sgtMarks is the sharded variable→sgtEntry table.

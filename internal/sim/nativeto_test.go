@@ -84,33 +84,33 @@ func TestConcurrentTOContendedSerializable(t *testing.T) {
 }
 
 // TestStripedRailUnderDispatch: the Sharded combinator's striped rail
-// driven by the real dispatch loops on the pairwise-conflict multi-shard
-// workload, across stripe counts (1 = single-mutex degenerate). Everything
+// (one stripe per shard) driven by the real dispatch loops on the
+// pairwise-conflict multi-shard workload, across shard counts. Everything
 // must commit and the committed schedule must be conflict-serializable.
 func TestStripedRailUnderDispatch(t *testing.T) {
 	const pairs = 8
 	template := workload.CrossPairs(pairs)
 	jobs := template.NumTxs()
-	for _, stripes := range []int{1, 4} {
+	for _, shards := range []int{2, 4} {
 		for _, mk := range []func() online.Scheduler{
 			func() online.Scheduler { return online.NewTO() },
 			func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) },
 		} {
-			sched := online.NewShardedRail(4, stripes, mk)
+			sched := online.NewSharded(shards, mk)
 			inst := Instantiate(template, jobs)
 			m, err := Run(Config{System: inst, Sched: sched, Users: 8, Seed: 3, MaxRestarts: 10000})
 			if err != nil {
-				t.Fatalf("stripes=%d %s: %v", stripes, sched.Name(), err)
+				t.Fatalf("shards=%d %s: %v", shards, sched.Name(), err)
 			}
 			if m.Committed != jobs {
-				t.Fatalf("stripes=%d %s: committed %d of %d", stripes, sched.Name(), m.Committed, jobs)
+				t.Fatalf("shards=%d %s: committed %d of %d", shards, sched.Name(), m.Committed, jobs)
 			}
 			csr, _, err := conflict.Serializable(inst, m.Output)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !csr {
-				t.Fatalf("stripes=%d %s: non-serializable committed schedule", stripes, sched.Name())
+				t.Fatalf("shards=%d %s: non-serializable committed schedule", shards, sched.Name())
 			}
 		}
 	}

@@ -247,10 +247,10 @@ func Disjoint(jobs, steps int) *core.System {
 // shared variable, then the private variable again. Every transaction
 // spans shards (the private and shared variables hash independently) and
 // conflicts only with its partner, so the ordering rail sees a steady
-// stream of multi-shard reservations forming many small two-node
-// components — the regime where rail striping pays and a single-mutex
-// rail serializes everything. BenchmarkRailStripes and the rail dispatch
-// tests use it.
+// stream of multi-shard inserts forming many small two-node components —
+// the regime where the striped component graph pays and a single-mutex
+// graph would serialize everything. The rail tests and ccsim's
+// -workload crosspairs use it.
 func CrossPairs(pairs int) *core.System {
 	sys := &core.System{Name: fmt.Sprintf("crosspairs-%d", pairs)}
 	inc := func(l []core.Value) core.Value { return last(l) + 1 }

@@ -51,26 +51,15 @@ if ! grep -q 'E10' internal/experiments/experiments.go; then
   fail=1
 fi
 
-# The native-TO / rail-striping surface must stay documented: experiment
-# E11, the cto scheduler and the -railstripes flag in both docs and in the
-# flag surfaces that expose them.
+# The native-TO surface must stay documented: experiment E11 and the cto
+# scheduler in both docs.
 for doc in README.md DESIGN.md; do
   if ! grep -q 'E11' "$doc"; then
     echo "check-docs: $doc does not document experiment E11"
     fail=1
   fi
-  if ! grep -qe '-railstripes' "$doc"; then
-    echo "check-docs: $doc does not document the -railstripes flag"
-    fail=1
-  fi
   if ! grep -q 'cto' "$doc"; then
     echo "check-docs: $doc does not document the cto scheduler"
-    fail=1
-  fi
-done
-for cmd in cmd/ccsim/main.go cmd/ccbench/main.go; do
-  if ! grep -q '"railstripes"' "$cmd"; then
-    echo "check-docs: $cmd lost its -railstripes flag"
     fail=1
   fi
 done
